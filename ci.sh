@@ -19,7 +19,13 @@ echo "== build (release) =="
 cargo build --release $OFFLINE
 
 echo "== test suite =="
-cargo test -q $OFFLINE
+# `default-members` in Cargo.toml makes this cover every crate of the
+# workspace; the total is printed so a drop in coverage is visible.
+test_log=$(mktemp)
+cargo test -q $OFFLINE 2>&1 | tee "$test_log"
+total_tests=$(grep -o '^test result: ok\. [0-9]* passed' "$test_log" | awk '{s += $4} END {print s + 0}')
+rm -f "$test_log"
+echo "ci: $total_tests tests passed in the workspace test suite"
 
 echo "== fault-tolerance gate =="
 cargo test -q $OFFLINE -- fault

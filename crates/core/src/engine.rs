@@ -17,7 +17,8 @@ use pdc_storage::{
     WorkCounters,
 };
 use pdc_types::{
-    Interval, ObjectId, PdcError, PdcResult, PdcType, RegionId, Run, Selection, ServerId, TypedVec,
+    Interval, ObjectId, PdcError, PdcResult, PdcType, RegionId, Run, Selection, SelectionRanks,
+    ServerId, TypedVec,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -1495,24 +1496,30 @@ impl QueryEngine {
         let weights = self.slot_weights_for_objects(&snap, &[object], n_slots)?;
         let elem = elem_bytes;
 
+        // Each value's output index is its rank in the selection, so the
+        // client places gathered values instead of sorting them. The
+        // sorted path looks up every band element; its rank bitset is
+        // built only when that is no larger than the band.
+        let band_len = if use_sorted { span_hint.map_or(0, |s| s.len) } else { 0 };
+        let ranks = SelectionRanks::with_lookups(selection, band_len);
         let out = run_slots(
             &self.pool,
             &cost,
             &self.recovery_policy(),
             placement.as_deref(),
             &weights,
-            |r: &(Vec<(u64, f64)>, IoCounters)| r.0.len() as u64 * (8 + elem),
+            |r: &(Gathered, IoCounters)| r.0.len() * (8 + elem),
             |slot, st| {
                 let io0 = st.io;
                 let w0 = st.work;
-                let mut pairs: Vec<(u64, f64)> = Vec::new();
-                if use_sorted {
+                let gathered = if use_sorted {
                     // Serve straight from the sorted replica: this slot
                     // walks its share of the matching sorted band; values
                     // are already resident from the evaluation.
                     let replica = odms.meta().sorted_replica(object)?;
                     let span = span_hint.unwrap();
                     let sorted_obj = ObjectId(object.raw() | 1 << 63);
+                    let mut ranked: Vec<(u64, f64)> = Vec::new();
                     for (i, sr) in replica.regions_of_span(&span).iter().enumerate() {
                         if i as u32 % n_slots != slot {
                             continue;
@@ -1527,19 +1534,24 @@ impl QueryEngine {
                             bytes,
                             n,
                         )?;
-                        let lo = span.start.max(region_start);
-                        let hi = span.end().min(region_end);
-                        for s in lo..hi {
-                            let coord = replica.perm()[s as usize];
-                            if selection.contains(coord) {
-                                st.work.elements_gathered += 1;
-                                pairs.push((coord, replica.keys()[s as usize]));
+                        let lo = span.start.max(region_start) as usize;
+                        let hi = (span.end().min(region_end) as usize).max(lo);
+                        let before = ranked.len();
+                        let band = replica.perm()[lo..hi].iter().zip(&replica.keys()[lo..hi]);
+                        for (&coord, &key) in band {
+                            if let Some(rank) = ranks.rank_of(coord) {
+                                ranked.push((rank, key));
                             }
                         }
+                        st.work.elements_gathered += (ranked.len() - before) as u64;
                     }
+                    Gathered::Ranked(ranked)
                 } else {
                     // Coordinate path: this slot gathers from its
-                    // round-robin share of the regions holding hits.
+                    // round-robin share of the regions holding hits. A
+                    // region's hits are one contiguous rank range, so each
+                    // region ships one typed chunk.
+                    let mut chunks: Vec<(u64, TypedVec)> = Vec::new();
                     for r in 0..meta.num_regions() {
                         if r % n_slots != slot {
                             continue;
@@ -1556,43 +1568,72 @@ impl QueryEngine {
                             n,
                             span.len,
                         )?;
-                        // Typed run-at-a-time gather: one slice walk per
-                        // hit run instead of a per-element enum match.
-                        #[allow(clippy::unnecessary_cast)] // Double arm casts f64->f64
-                        {
-                            pdc_types::with_slice!(&*payload, xs => {
-                                for run in local.runs() {
-                                    let s = (run.start - span.offset) as usize;
-                                    let e = s + run.len as usize;
-                                    st.work.elements_gathered += run.len;
-                                    for (k, &v) in xs[s..e].iter().enumerate() {
-                                        pairs.push((run.start + k as u64, v as f64));
-                                    }
-                                }
-                            });
+                        let mut chunk = TypedVec::with_capacity(ty, local.count() as usize);
+                        for run in local.runs() {
+                            let s = (run.start - span.offset) as usize;
+                            st.work.elements_gathered += run.len;
+                            chunk.extend_from_range(&payload, s..s + run.len as usize)?;
                         }
+                        chunks.push((ranks.rank_before(span.offset), chunk));
                     }
-                }
+                    Gathered::Chunks(chunks)
+                };
                 st.settle_cpu(&cost, &w0);
-                Ok((pairs, diff_io(&st.io, &io0)))
+                Ok((gathered, diff_io(&st.io, &io0)))
             },
         )?;
 
-        let mut all_pairs: Vec<(u64, f64)> = Vec::new();
         let mut io = IoCounters::default();
         let mut bytes_transferred = 0;
         let mut servers_involved = 0;
-        for (pairs, io_d) in out.per_slot {
-            let bytes = pairs.len() as u64 * (8 + elem_bytes);
-            if !pairs.is_empty() {
+        let mut parts: Vec<Gathered> = Vec::with_capacity(out.per_slot.len());
+        for (gathered, io_d) in out.per_slot {
+            let len = gathered.len();
+            if len > 0 {
                 servers_involved += 1;
-                bytes_transferred += bytes;
+                bytes_transferred += len * (8 + elem_bytes);
             }
             io.merge(&io_d);
-            all_pairs.extend(pairs);
+            parts.push(gathered);
         }
-        all_pairs.sort_unstable_by_key(|&(c, _)| c);
-        let data = typed_from_f64(ty, all_pairs.iter().map(|&(_, v)| v));
+        let want = selection.count();
+        let data = if use_sorted {
+            let mut values = vec![0f64; want as usize];
+            let mut placed = 0u64;
+            for (rank, v) in parts.iter().flat_map(Gathered::ranked) {
+                values[*rank as usize] = *v;
+                placed += 1;
+            }
+            if placed != want {
+                // The band did not hold exactly the selection (it was
+                // narrowed elsewhere, or the replica moved since the
+                // query): answer from the coordinate path instead,
+                // charging both attempts.
+                let mut retry = self.get_data_for_selection(selection, object, None)?;
+                retry.elapsed += out.eval_time;
+                retry.io.merge(&io);
+                retry.bytes_transferred += bytes_transferred;
+                return Ok(retry);
+            }
+            typed_from_f64(ty, values.into_iter())
+        } else {
+            let mut chunks: Vec<&(u64, TypedVec)> =
+                parts.iter().flat_map(Gathered::chunks).collect();
+            chunks.sort_unstable_by_key(|c| c.0);
+            let mut data = TypedVec::with_capacity(ty, want as usize);
+            for (rank, chunk) in chunks {
+                debug_assert_eq!(*rank, data.len() as u64, "region chunks tile the ranks");
+                data.extend_from_range(chunk, 0..chunk.len())?;
+            }
+            if data.len() as u64 != want {
+                // Only coordinates past the object's last region go
+                // ungathered.
+                let len = meta.num_elements();
+                let coord = selection.runs().last().map_or(len, |r| r.end() - 1);
+                return Err(PdcError::SelectionOutOfBounds { coord, len });
+            }
+            data
+        };
 
         Ok(GetDataOutcome {
             data,
@@ -1601,6 +1642,38 @@ impl QueryEngine {
             bytes_transferred,
             servers_involved,
         })
+    }
+}
+
+/// One slot's `get_data` share: `(rank, value)` pairs from the sorted
+/// band, or per-region typed chunks keyed by the rank of their first
+/// value.
+enum Gathered {
+    Ranked(Vec<(u64, f64)>),
+    Chunks(Vec<(u64, TypedVec)>),
+}
+
+impl Gathered {
+    /// Values gathered.
+    fn len(&self) -> u64 {
+        match self {
+            Gathered::Ranked(v) => v.len() as u64,
+            Gathered::Chunks(c) => c.iter().map(|(_, t)| t.len() as u64).sum(),
+        }
+    }
+
+    fn ranked(&self) -> &[(u64, f64)] {
+        match self {
+            Gathered::Ranked(v) => v,
+            Gathered::Chunks(_) => &[],
+        }
+    }
+
+    fn chunks(&self) -> &[(u64, TypedVec)] {
+        match self {
+            Gathered::Chunks(c) => c,
+            Gathered::Ranked(_) => &[],
+        }
     }
 }
 

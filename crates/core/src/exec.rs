@@ -29,7 +29,7 @@
 //! (paper §III-C).
 
 use crate::engine::Strategy;
-use crate::ops::{self, ExplainPhase, OpOutput, PhysicalOp, RegionTask};
+use crate::ops::{self, ExplainPhase, OpOutput, RegionTask};
 use crate::plan::{ObjConstraint, PlanNode, QueryPlan};
 use crate::snapshot::MetaSnapshot;
 use crate::state::ServerState;
@@ -294,7 +294,7 @@ fn eval_primary_sorted(
         elem_bytes,
         sorted_object: ObjectId(c.object.raw() | 1 << 63),
     };
-    let mut sels: Vec<Selection> = Vec::new();
+    let mut slices: Vec<std::ops::Range<usize>> = Vec::new();
     for (i, &sr) in touched.iter().enumerate() {
         if i as u32 % ctx.n_slots != ctx.server {
             continue;
@@ -306,12 +306,10 @@ fn eval_primary_sorted(
             span: pdc_types::RegionSpec::new(rspan.start, rspan.len),
             interval: c.interval,
         };
-        let OpOutput::Selected(sel) = op.run(ctx, state, &task)? else {
-            unreachable!("sorted-range operator always produces a selection");
-        };
+        let slice = op.charge_region(ctx, state, &task)?;
         if state.explain.is_some() {
-            let overlap =
-                sspan.end().min(rspan.end()).saturating_sub(sspan.start.max(rspan.start));
+            // A permutation slice has no duplicates: every element is a hit.
+            let overlap = slice.len() as u64;
             ops::record_explain(
                 state,
                 ops::RegionExplain {
@@ -322,16 +320,20 @@ fn eval_primary_sorted(
                     pruned: false,
                     span_len: rspan.len,
                     est: Some(pdc_histogram::HitBounds { lower: overlap, upper: overlap }),
-                    actual_hits: Some(sel.count()),
+                    actual_hits: Some(overlap),
                     // Sorted replicas are in-memory structures, never
                     // spilled.
                     cold: false,
                 },
             );
         }
-        sels.push(sel);
+        slices.push(slice);
     }
-    Ok(Selection::union_many(&sels))
+    // One linear-time materialization of this server's whole share of the
+    // band, instead of a sort per region and a merge across them.
+    let perm = op.replica.perm();
+    let slices: Vec<&[u64]> = slices.into_iter().map(|r| &perm[r]).collect();
+    Ok(Selection::from_unsorted_slices(&slices))
 }
 
 /// Check `interval` on `object` only at already-selected locations:
@@ -351,19 +353,20 @@ pub fn point_check(
     let meta = ctx.snap.meta(object)?;
     let planner = ops::RegionPlanner::for_filter(ctx, object, joint)?;
     let mut out: Vec<Run> = Vec::new();
-    // Group candidate coordinates by region.
-    let mut r = 0u32;
-    let num_regions = meta.num_regions();
-    let mut pending: Vec<Run> = candidates.runs().to_vec();
-    while r < num_regions && !pending.is_empty() {
+    // Group candidate coordinates by region in one cursor walk over the
+    // sorted runs: a run that straddles a region boundary stays under the
+    // cursor, clipped, for the next region.
+    let runs = candidates.runs();
+    let mut next = 0usize;
+    for r in 0..meta.num_regions() {
+        if next == runs.len() {
+            break;
+        }
         let span = meta.region_span(r);
-        // Runs intersecting this region.
         let mut in_region: Vec<Run> = Vec::new();
-        let mut rest: Vec<Run> = Vec::new();
-        for run in pending.drain(..) {
+        while let Some(run) = runs.get(next) {
             if run.start >= span.end() {
-                rest.push(run);
-                continue;
+                break;
             }
             let lo = run.start.max(span.offset);
             let hi = run.end().min(span.end());
@@ -371,10 +374,10 @@ pub fn point_check(
                 in_region.push(Run::new(lo, hi - lo));
             }
             if run.end() > span.end() {
-                rest.push(Run::new(span.end(), run.end() - span.end()));
+                break;
             }
+            next += 1;
         }
-        pending = rest;
         if !in_region.is_empty() {
             let task = RegionTask { object, region: r, span, interval: *interval };
             match ops::execute_region(
@@ -390,7 +393,6 @@ pub fn point_check(
                 OpOutput::Pass => unreachable!("access operators always produce a selection"),
             }
         }
-        r += 1;
     }
     Ok(Selection::from_runs(out))
 }

@@ -14,7 +14,9 @@
 //! * [`IndexProbeOp`] — WAH bitmap probe with a conditional candidate
 //!   check against the raw data;
 //! * [`SortedRangeOp`] — the contiguous slice of one sorted-replica
-//!   region overlapping a binary-searched span;
+//!   region overlapping a binary-searched span (charged per region; a
+//!   server materializes the slices of all its regions at once, so it
+//!   is not run through the trait);
 //! * [`VerifyRebuildOp`] — the integrity fallback: answer a region whose
 //!   index failed validation by the exact scan, then rebuild and rewrite
 //!   the index (charged to the `integrity` lane).
@@ -756,8 +758,7 @@ impl PhysicalOp for VerifyRebuildOp {
 
 /// The contiguous matching slice of one value-partitioned sorted-replica
 /// region. The task's `region`/`span` are in *sorted* coordinates; the
-/// returned selection is translated through the permutation back to
-/// global coordinates.
+/// slice's permutation entries are the matching global coordinates.
 pub struct SortedRangeOp {
     /// The replica being sliced.
     pub replica: Arc<SortedReplica>,
@@ -770,17 +771,17 @@ pub struct SortedRangeOp {
     pub sorted_object: ObjectId,
 }
 
-impl PhysicalOp for SortedRangeOp {
-    fn kind(&self) -> OpKind {
-        OpKind::SortedRange
-    }
-
-    fn run(
+impl SortedRangeOp {
+    /// Charge reading one sorted region (keys + permutation, through the
+    /// residency set) and the scan of its matching slice; return that
+    /// slice `[lo, hi)` in sorted coordinates, possibly empty. The caller
+    /// materializes the slices of all its regions at once.
+    pub fn charge_region(
         &self,
         ctx: &EvalCtx,
         st: &mut ServerState,
         task: &RegionTask,
-    ) -> PdcResult<OpOutput> {
+    ) -> PdcResult<std::ops::Range<usize>> {
         let before = st.work;
         let region_start = task.span.offset;
         let region_end = task.span.end();
@@ -794,17 +795,10 @@ impl PhysicalOp for SortedRangeOp {
         )?;
         // The matching slice inside this region is contiguous.
         let lo = self.sspan.start.max(region_start);
-        let hi = self.sspan.end().min(region_end);
-        let sel = if lo < hi {
-            st.work.elements_scanned += hi - lo;
-            Selection::from_unsorted_coords(
-                self.replica.perm()[lo as usize..hi as usize].to_vec(),
-            )
-        } else {
-            Selection::empty()
-        };
+        let hi = self.sspan.end().min(region_end).max(lo);
+        st.work.elements_scanned += hi - lo;
         st.settle_cpu(ctx.cost, &before);
-        Ok(OpOutput::Selected(sel))
+        Ok(lo as usize..hi as usize)
     }
 }
 

@@ -133,8 +133,8 @@ impl SortedReplica {
     /// and translate it back to original coordinates.
     pub fn lookup(&self, interval: &Interval) -> SortedLookup {
         let span = self.matching_span(interval);
-        let coords: Vec<u64> = self.perm[span.start as usize..span.end() as usize].to_vec();
-        SortedLookup { sorted_span: span, selection: Selection::from_unsorted_coords(coords) }
+        let coords = &self.perm[span.start as usize..span.end() as usize];
+        SortedLookup { sorted_span: span, selection: Selection::from_unsorted_slices(&[coords]) }
     }
 
     /// Indices of the sorted regions overlapping `interval` — always a

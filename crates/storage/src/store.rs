@@ -14,7 +14,7 @@ use pdc_blockstore::{blockfile, BlockCache, BlockCacheStats, BlockReader, Fnv1a}
 use pdc_types::{with_slice, PdcError, PdcResult, PdcType, RegionId, TypedVec};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
 
 /// Storage tier a region resides on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -234,6 +234,12 @@ struct SpillAcct {
     spilled_comp_bytes: u64,
 }
 
+impl SpillAcct {
+    fn note_high_water(&mut self) {
+        self.high_water = self.high_water.max(self.resident_bytes);
+    }
+}
+
 #[derive(Debug, Default)]
 struct SpillTicks {
     tick: u64,
@@ -251,6 +257,27 @@ struct SpillState {
     /// Access recency driving LRU demotion order (separate from the
     /// region map so reads only take this one small lock).
     ticks: Mutex<SpillTicks>,
+    /// Regions a `demote` call has claimed and is writing. Concurrent
+    /// budget enforcers skip them, so no two calls ever write, rename or
+    /// clean up the same spill file.
+    demoting: Mutex<HashSet<RegionId>>,
+    /// Signalled whenever a claim in `demoting` is released, so an
+    /// enforcer that found every victim claimed can wait for the budget
+    /// to settle instead of returning over it.
+    claim_released: Condvar,
+}
+
+/// A claim on one region's demotion, released on drop.
+struct DemoteClaim<'a> {
+    s: &'a SpillState,
+    id: RegionId,
+}
+
+impl Drop for DemoteClaim<'_> {
+    fn drop(&mut self) {
+        self.s.demoting.lock().remove(&self.id);
+        self.s.claim_released.notify_all();
+    }
 }
 
 impl SpillState {
@@ -263,14 +290,12 @@ impl SpillState {
         a.resident_bytes = a.resident_bytes.saturating_sub(bytes);
     }
 
-    /// Record the settled resident footprint (called after budget
-    /// enforcement, so the high-water mark reflects steady state rather
-    /// than the unavoidable transient while a payload is being demoted).
+    /// Record the settled resident footprint (sampled when budget
+    /// enforcement finishes, so the high-water mark reflects steady state
+    /// rather than the unavoidable transient while a payload is being
+    /// demoted).
     fn note_high_water(&self) {
-        let mut a = self.acct.lock();
-        if a.resident_bytes > a.high_water {
-            a.high_water = a.resident_bytes;
-        }
+        self.acct.lock().note_high_water();
     }
 
     /// Forget a spilled region: delete its files, drop its cached blocks,
@@ -619,10 +644,7 @@ impl ObjectStore {
         // resident bytes here — seal boundaries are the points where the
         // budget is enforceable (an open region is pinned by ingest
         // itself, so its transient footprint is charged to the writer).
-        self.enforce_budget()?;
-        if let Some(s) = self.spill_state() {
-            s.note_high_water();
-        }
+        self.settle_budget(true)?;
         Ok(())
     }
 
@@ -969,12 +991,11 @@ impl ObjectStore {
             block_cache: Arc::new(BlockCache::new(block_cache_bytes)),
             acct: Mutex::new(acct),
             ticks: Mutex::new(ticks),
+            demoting: Mutex::new(HashSet::new()),
+            claim_released: Condvar::new(),
         };
         *self.spill.write() = Some(Arc::new(state));
-        self.enforce_budget()?;
-        if let Some(s) = self.spill_state() {
-            s.note_high_water();
-        }
+        self.settle_budget(true)?;
         Ok(())
     }
 
@@ -1048,19 +1069,36 @@ impl ObjectStore {
     /// demotable. Returns the number of regions demoted. No epoch bump:
     /// demotion is physically real but changes no readable bytes.
     pub fn enforce_budget(&self) -> PdcResult<u64> {
+        self.settle_budget(false)
+    }
+
+    /// [`Self::enforce_budget`], optionally sampling the resident
+    /// high-water mark where it returns. A victim another call has
+    /// claimed is waited for rather than skipped, so concurrent enforcers
+    /// all return with the budget settled, not mid-demotion.
+    fn settle_budget(&self, sample_high_water: bool) -> PdcResult<u64> {
         let Some(s) = self.spill_state() else {
             return Ok(0);
         };
         let mut demoted = 0u64;
         loop {
-            if s.acct.lock().resident_bytes <= s.memory_budget {
-                break;
+            {
+                // Check and sample under one lock, so a concurrent `put`
+                // cannot land between them.
+                let mut a = s.acct.lock();
+                if a.resident_bytes <= s.memory_budget {
+                    if sample_high_water {
+                        a.note_high_water();
+                    }
+                    return Ok(demoted);
+                }
             }
             let victim = {
                 let map = self.regions.read();
                 let sealed = self.sealed.read();
                 let quar = self.quarantine.read();
                 let ticks = s.ticks.lock();
+                let mut demoting = s.demoting.lock();
                 let mut best: Option<(u64, RegionId)> = None;
                 for (id, r) in map.iter() {
                     if !matches!(r.res, Residency::Resident(_))
@@ -1068,6 +1106,7 @@ impl ObjectStore {
                         || r.size_bytes() == 0
                         || !sealed.contains(id)
                         || quar.contains(id)
+                        || demoting.contains(id)
                     {
                         continue;
                     }
@@ -1076,21 +1115,48 @@ impl ObjectStore {
                         best = Some((t, *id));
                     }
                 }
-                best.map(|(_, id)| id)
+                match best {
+                    Some((_, id)) => {
+                        demoting.insert(id);
+                        DemoteClaim { s: &s, id }
+                    }
+                    // Every remaining victim is being demoted by another
+                    // call: wait for one to finish, then re-check.
+                    None if !demoting.is_empty() => {
+                        drop((map, sealed, quar, ticks));
+                        let released = s.claim_released.wait(demoting);
+                        drop(released.unwrap_or_else(PoisonError::into_inner));
+                        continue;
+                    }
+                    // Nothing demotable: the excess is pinned (open,
+                    // quarantined or pristine-backed regions). Sample
+                    // while the region map is still locked.
+                    None => {
+                        if sample_high_water {
+                            s.note_high_water();
+                        }
+                        return Ok(demoted);
+                    }
+                }
             };
-            let Some(victim) = victim else { break };
-            if self.demote(victim, &s)? {
-                demoted += 1;
-            } else {
+            if !self.demote(&victim)? {
                 break; // raced away; don't spin
             }
+            demoted += 1;
+        }
+        if sample_high_water {
+            s.note_high_water();
         }
         Ok(demoted)
     }
 
-    /// Demote one region to its block-compressed spill file. Only sealed,
-    /// unquarantined, pristine-free resident regions are eligible.
-    fn demote(&self, id: RegionId, s: &SpillState) -> PdcResult<bool> {
+    /// Demote one claimed region to its block-compressed spill file. Only
+    /// sealed, unquarantined, pristine-free resident regions are eligible.
+    /// The claim makes this call the only writer of the region's spill
+    /// file, so the file it removes on a lost race is its own uncommitted
+    /// one.
+    fn demote(&self, claim: &DemoteClaim) -> PdcResult<bool> {
+        let (id, s) = (claim.id, claim.s);
         // Snapshot without holding the write lock across file IO.
         let (payload, checksum) = {
             let map = self.regions.read();
@@ -1479,6 +1545,67 @@ mod tests {
             assert_eq!(&*got, &originals[i as usize]);
         }
         assert!(store.spill_stats().unwrap().fault_ins >= 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_sealers_never_race_a_demotion() {
+        // Every seal enforces a budget far below what the writers hold, so
+        // concurrent enforcers keep picking the same LRU victims; each
+        // victim must still be written and committed exactly once. The
+        // budget holds the threads' open regions (one each, at most 4384
+        // bytes), so every seal can settle within it and the high-water
+        // mark it samples must too.
+        let dir = tmp_dir("race");
+        let store = Arc::new(ObjectStore::new(4));
+        let budget = 20_000;
+        store.configure_spill(&dir, budget, 1 << 16).unwrap();
+        let threads = 4u32;
+        let per_thread = 24u32;
+        // Every round, all threads seal at once.
+        let barrier = Arc::new(std::sync::Barrier::new(threads as usize));
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let store = Arc::clone(&store);
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    // Errors are collected, not raised, so a failing
+                    // thread keeps meeting the others at the barrier.
+                    let mut errors = Vec::new();
+                    for i in 0..per_thread {
+                        let id = rid(9, t * per_thread + i);
+                        let v = seeded_floats(1_000 + (t * per_thread + i) as usize);
+                        store.put(id, StoredPayload::Typed(Arc::new(v)), StorageTier::Pfs);
+                        barrier.wait();
+                        errors.extend(store.seal(id).err());
+                        errors.extend(store.enforce_budget().err());
+                    }
+                    errors
+                })
+            })
+            .collect();
+        for h in handles {
+            let errors = h.join().expect("sealer thread panicked");
+            assert!(errors.is_empty(), "concurrent seals failed: {errors:?}");
+        }
+        let stats = store.spill_stats().unwrap();
+        assert!(stats.demotions > 0);
+        assert_eq!(stats.spilled_regions, stats.demotions, "each victim committed once");
+        assert!(
+            stats.resident_high_water <= budget,
+            "high-water {} > budget {budget}",
+            stats.resident_high_water
+        );
+        let mut spilled = 0;
+        for k in 0..threads * per_thread {
+            let id = rid(9, k);
+            spilled += u32::from(store.is_spilled(id));
+            // `get` re-derives the checksum recorded at `put`, so a lost
+            // or clobbered spill file fails here.
+            let got = store.get_typed(id).unwrap();
+            assert_eq!(&*got, &seeded_floats(1_000 + k as usize), "region {k}");
+        }
+        assert_eq!(u64::from(spilled), stats.spilled_regions);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

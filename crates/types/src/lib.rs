@@ -35,5 +35,5 @@ pub use ids::{ContainerId, ObjectId, QueryId, RegionId, ServerId};
 pub use interval::Interval;
 pub use op::QueryOp;
 pub use region::{NdRegion, RegionSpec, Shape};
-pub use selection::{Run, Selection};
+pub use selection::{Run, Selection, SelectionRanks};
 pub use value::{PdcType, PdcValue, TypedVec};

@@ -101,6 +101,75 @@ impl Selection {
         Self::from_sorted_coords(coords)
     }
 
+    /// Build from the concatenation of unsorted, possibly duplicated
+    /// coordinate slices in linear time; equal to
+    /// [`Selection::from_unsorted_coords`] of the concatenation. Dense
+    /// coordinates (at least one per 64 of their range) are set in a bitset
+    /// over that range and read back run by run; sparse ones are LSD radix
+    /// sorted. Inputs too small to amortize the radix buckets take the
+    /// comparison sort.
+    pub fn from_unsorted_slices(slices: &[&[u64]]) -> Self {
+        let k: usize = slices.iter().map(|s| s.len()).sum();
+        if k < 512 {
+            return Self::from_unsorted_coords(slices.concat());
+        }
+        let (mut lo, mut hi) = (u64::MAX, 0u64);
+        for &c in slices.iter().flat_map(|s| s.iter()) {
+            lo = lo.min(c);
+            hi = hi.max(c);
+        }
+        let words = (hi - lo) / 64 + 1;
+        if words <= k as u64 {
+            let mut bits = vec![0u64; words as usize];
+            for &c in slices.iter().flat_map(|s| s.iter()) {
+                let off = c - lo;
+                bits[(off / 64) as usize] |= 1u64 << (off % 64);
+            }
+            return Self::from_bitset(lo, &bits);
+        }
+        let mut offs: Vec<u64> = Vec::with_capacity(k);
+        for s in slices {
+            offs.extend(s.iter().map(|&c| c - lo));
+        }
+        radix_sort(&mut offs, hi - lo);
+        offs.dedup();
+        Self::from_sorted_coords(offs.into_iter().map(|o| o + lo))
+    }
+
+    /// Build from a bitset whose bit `i` (bit `i % 64` of word `i / 64`)
+    /// selects coordinate `base + i`, one run per maximal block of set bits.
+    fn from_bitset(base: u64, bits: &[u64]) -> Self {
+        let mut runs: Vec<Run> = Vec::new();
+        let mut open: Option<u64> = None;
+        for (wi, &w) in bits.iter().enumerate() {
+            let word_base = base + 64 * wi as u64;
+            let mut bit = 0u32;
+            while bit < 64 {
+                let rest = w >> bit;
+                match open {
+                    Some(start) => {
+                        // `rest`'s vacated high bits are zero, so this
+                        // stops at the word end at the latest.
+                        bit += (!rest).trailing_zeros();
+                        if bit < 64 {
+                            runs.push(Run::new(start, word_base + u64::from(bit) - start));
+                            open = None;
+                        }
+                    }
+                    None if rest == 0 => break,
+                    None => {
+                        bit += rest.trailing_zeros();
+                        open = Some(word_base + u64::from(bit));
+                    }
+                }
+            }
+        }
+        if let Some(start) = open {
+            runs.push(Run::new(start, base + 64 * bits.len() as u64 - start));
+        }
+        Selection { runs }
+    }
+
     /// Build from runs that are already sorted, disjoint and non-adjacent.
     ///
     /// Debug-asserts the invariants.
@@ -259,17 +328,17 @@ impl Selection {
         Selection { runs: out }
     }
 
-    /// Restrict the selection to the span `[start, start+len)`.
+    /// Restrict the selection to the span `[start, start+len)`. Binary
+    /// searches for the first overlapping run, so clipping a selection to
+    /// each of many regions costs O(log runs) per region plus the output.
     pub fn restrict_to_span(&self, start: u64, len: u64) -> Selection {
         if len == 0 {
             return Selection::empty();
         }
         let end = start + len;
+        let first = self.runs.partition_point(|r| r.end() <= start);
         let mut out = Vec::new();
-        for r in &self.runs {
-            if r.end() <= start {
-                continue;
-            }
+        for r in &self.runs[first..] {
             if r.start >= end {
                 break;
             }
@@ -306,6 +375,132 @@ impl Selection {
     /// the matching elements").
     pub fn to_nd_coords(&self, shape: &crate::region::Shape) -> Vec<Vec<u64>> {
         self.iter_coords().map(|c| shape.unravel(c)).collect()
+    }
+}
+
+/// LSD radix sort of values `<= max` in 11-bit digits (as many passes as
+/// `max` needs).
+fn radix_sort(v: &mut Vec<u64>, max: u64) {
+    const BITS: u32 = 11;
+    const BUCKETS: usize = 1 << BITS;
+    let passes = (64 - max.leading_zeros()).div_ceil(BITS);
+    let mut tmp = vec![0u64; v.len()];
+    for p in 0..passes {
+        let shift = p * BITS;
+        let digit = |x: u64| ((x >> shift) as usize) & (BUCKETS - 1);
+        let mut pos = [0usize; BUCKETS];
+        for &x in v.iter() {
+            pos[digit(x)] += 1;
+        }
+        let mut sum = 0;
+        for slot in pos.iter_mut() {
+            (*slot, sum) = (sum, sum + *slot);
+        }
+        for &x in v.iter() {
+            let d = digit(x);
+            tmp[pos[d]] = x;
+            pos[d] += 1;
+        }
+        std::mem::swap(v, &mut tmp);
+    }
+}
+
+/// The rank of each selected coordinate: its index in the selection's
+/// ascending coordinate order, which is where `PDCquery_get_data` puts its
+/// value. Answers from the runs' prefix counts by binary search; built
+/// with [`SelectionRanks::with_lookups`] for many lookups over a dense
+/// selection, it adds a rank bitset over the selection's coordinate range
+/// (never the whole object's) that answers in O(1).
+#[derive(Debug, Clone)]
+pub struct SelectionRanks<'a> {
+    runs: &'a [Run],
+    /// `before[i]`: selected coordinates in `runs[..i]`.
+    before: Vec<u64>,
+    dense: Option<DenseRanks>,
+}
+
+/// A bitset over `[base, base + 64·bits.len())` with per-word prefix
+/// counts.
+#[derive(Debug, Clone)]
+struct DenseRanks {
+    base: u64,
+    bits: Vec<u64>,
+    before: Vec<u64>,
+}
+
+impl<'a> SelectionRanks<'a> {
+    /// Prefix counts only: O(log runs) per lookup.
+    pub fn new(sel: &'a Selection) -> Self {
+        let mut before = Vec::with_capacity(sel.runs.len());
+        let mut acc = 0;
+        for r in &sel.runs {
+            before.push(acc);
+            acc += r.len;
+        }
+        SelectionRanks { runs: &sel.runs, before, dense: None }
+    }
+
+    /// Prefix counts plus, when the rank bitset over the selection's
+    /// coordinate range has at most one word per expected lookup, that
+    /// bitset, so the `lookups` membership tests cost O(1) each. A narrow
+    /// selection scattered over a large object keeps the binary search.
+    pub fn with_lookups(sel: &'a Selection, lookups: u64) -> Self {
+        let mut ranks = Self::new(sel);
+        let (Some(first), Some(last)) = (sel.runs.first(), sel.runs.last()) else {
+            return ranks;
+        };
+        let base = first.start;
+        let words = (last.end() - 1 - base) / 64 + 1;
+        if words > lookups {
+            return ranks;
+        }
+        let mut bits = vec![0u64; words as usize];
+        for r in &sel.runs {
+            let (s, e) = (r.start - base, r.end() - base);
+            let (ws, we) = ((s / 64) as usize, ((e - 1) / 64) as usize);
+            let head = !0u64 << (s % 64);
+            let tail = !0u64 >> (63 - (e - 1) % 64);
+            if ws == we {
+                bits[ws] |= head & tail;
+            } else {
+                bits[ws] |= head;
+                bits[ws + 1..we].fill(!0);
+                bits[we] |= tail;
+            }
+        }
+        let mut before = Vec::with_capacity(bits.len());
+        let mut acc = 0;
+        for w in &bits {
+            before.push(acc);
+            acc += u64::from(w.count_ones());
+        }
+        ranks.dense = Some(DenseRanks { base, bits, before });
+        ranks
+    }
+
+    /// Number of selected coordinates strictly below `c`.
+    pub fn rank_before(&self, c: u64) -> u64 {
+        let i = self.runs.partition_point(|r| r.start < c);
+        match i.checked_sub(1) {
+            None => 0,
+            Some(j) => self.before[j] + (c - self.runs[j].start).min(self.runs[j].len),
+        }
+    }
+
+    /// The rank of `c`, or `None` when `c` is not selected.
+    #[inline]
+    pub fn rank_of(&self, c: u64) -> Option<u64> {
+        if let Some(d) = &self.dense {
+            let off = c.checked_sub(d.base)?;
+            let word = (off / 64) as usize;
+            let w = *d.bits.get(word)?;
+            let below = w & ((1u64 << (off % 64)) - 1);
+            return (w >> (off % 64) & 1 == 1)
+                .then(|| d.before[word] + u64::from(below.count_ones()));
+        }
+        let i = self.runs.partition_point(|r| r.start <= c).checked_sub(1)?;
+        let r = self.runs[i];
+        r.contains_coord(c).then(|| self.before[i] + (c - r.start))
     }
 }
 
@@ -471,6 +666,90 @@ mod tests {
             s.to_nd_coords(&shape),
             vec![vec![0, 0], vec![1, 1], vec![2, 3]]
         );
+    }
+
+    /// Deterministic LCG stream for the pseudo-random cases below.
+    fn lcg(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 33
+        }
+    }
+
+    #[test]
+    fn from_unsorted_slices_matches_comparison_sort() {
+        let mut next = lcg(0xC0FFEE);
+        // A permutation of [0, n) cut into slices, as a sorted replica's
+        // band is cut into regions: dense (bitset) and, over a larger
+        // coordinate range, sparse (radix) inputs, with duplicates.
+        let cases =
+            [(5000u64, 1u64, false), (3000, 977, false), (4000, 3, true), (100, 1 << 40, true)];
+        for (n, stride, dups) in cases {
+            let mut coords: Vec<u64> = (0..n).map(|i| 17 + i * stride).collect();
+            for i in (1..coords.len()).rev() {
+                let j = (next() % (i as u64 + 1)) as usize;
+                coords.swap(i, j);
+            }
+            if dups {
+                let extra: Vec<u64> = coords[..n as usize / 3].to_vec();
+                coords.extend(extra);
+            }
+            for cut in [1usize, 7, 130, coords.len()] {
+                let slices: Vec<&[u64]> = coords.chunks(cut).collect();
+                assert_eq!(
+                    Selection::from_unsorted_slices(&slices),
+                    Selection::from_unsorted_coords(coords.clone()),
+                    "n={n} stride={stride} cut={cut}"
+                );
+            }
+        }
+        // A band keeping a random half of a permutation: runs of every
+        // length, crossing word boundaries.
+        let kept: Vec<u64> = (0..20_000u64).filter(|_| next().is_multiple_of(2)).collect();
+        assert_eq!(
+            Selection::from_unsorted_slices(&[&kept[..]]),
+            Selection::from_sorted_coords(kept.iter().copied())
+        );
+        assert!(Selection::from_unsorted_slices(&[]).is_empty());
+        let full: Vec<u64> = (64..64 * 9).rev().collect();
+        assert_eq!(Selection::from_unsorted_slices(&[&full[..]]).runs(), &[Run::new(64, 512)]);
+    }
+
+    #[test]
+    fn ranks_match_position_in_coordinate_order() {
+        let mut next = lcg(7);
+        let coords: Vec<u64> =
+            (0..3000u64).filter(|_| !next().is_multiple_of(3)).map(|c| c * 2 + 5).collect();
+        let s = Selection::from_sorted_coords(coords.iter().copied());
+        for ranks in [SelectionRanks::new(&s), SelectionRanks::with_lookups(&s, u64::MAX)] {
+            for c in 0..6100u64 {
+                let expect = coords.binary_search(&c).ok().map(|i| i as u64);
+                assert_eq!(ranks.rank_of(c), expect, "{c}");
+                assert_eq!(ranks.rank_before(c), coords.partition_point(|&x| x < c) as u64, "{c}");
+            }
+        }
+        let dense = SelectionRanks::with_lookups(&s, u64::MAX);
+        assert!(dense.dense.is_some());
+        // Scattered over a wide range, a few lookups keep the binary search.
+        let sparse = Selection::from_sorted_coords([3, 1 << 30, 1 << 40]);
+        let ranks = SelectionRanks::with_lookups(&sparse, 3);
+        assert!(ranks.dense.is_none());
+        assert_eq!(ranks.rank_of(1 << 40), Some(2));
+        assert_eq!(SelectionRanks::with_lookups(&Selection::empty(), 10).rank_of(0), None);
+    }
+
+    #[test]
+    fn restrict_to_span_matches_linear_filter() {
+        let s = sel(&[1, 2, 3, 9, 10, 20, 21, 22, 40]);
+        for start in 0..45 {
+            for len in 0..25 {
+                let expect: Vec<u64> =
+                    s.iter_coords().filter(|&c| c >= start && c < start + len).collect();
+                let got: Vec<u64> = s.restrict_to_span(start, len).iter_coords().collect();
+                assert_eq!(got, expect);
+            }
+        }
     }
 
     #[test]

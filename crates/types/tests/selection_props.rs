@@ -2,7 +2,7 @@
 //! algebra must agree with a naive `BTreeSet` model, and interval algebra
 //! must agree with direct predicate evaluation.
 
-use pdc_types::{Interval, QueryOp, Run, Selection};
+use pdc_types::{Interval, QueryOp, Run, Selection, SelectionRanks};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -129,6 +129,49 @@ proptest! {
         // and if ranges are fully disjoint, overlap must be false
         if rmax < lo || rmin > lo + width {
             prop_assert!(!overlap);
+        }
+    }
+
+    #[test]
+    fn sorted_materialization_matches_comparison_sort(
+        n in 1u64..6000,
+        spread in 1u64..400,
+        seed in any::<u64>(),
+        cuts in prop::collection::vec(0usize..6000, 0..12),
+    ) {
+        // A shuffled band of coordinates (as a sorted replica's permutation
+        // slice looks), spread over `spread`× its length and cut at
+        // arbitrary points into per-region slices.
+        let mut coords: Vec<u64> = (0..n).map(|i| i * spread + seed % 7).collect();
+        let mut state = seed | 1;
+        for i in (1..coords.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            coords.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        let mut bounds: Vec<usize> = cuts.into_iter().map(|c| c % coords.len()).collect();
+        bounds.extend([0, coords.len()]);
+        bounds.sort_unstable();
+        let slices: Vec<&[u64]> = bounds.windows(2).map(|w| &coords[w[0]..w[1]]).collect();
+        prop_assert_eq!(
+            Selection::from_unsorted_slices(&slices),
+            Selection::from_unsorted_coords(coords.clone())
+        );
+    }
+
+    #[test]
+    fn ranks_match_coordinate_order(coords in coords_strategy(), dense in any::<bool>()) {
+        let s = Selection::from_unsorted_coords(coords.clone());
+        let order: Vec<u64> = model(&coords).into_iter().collect();
+        let ranks = if dense {
+            SelectionRanks::with_lookups(&s, u64::MAX)
+        } else {
+            SelectionRanks::new(&s)
+        };
+        for c in 0..520u64 {
+            prop_assert_eq!(ranks.rank_of(c), order.binary_search(&c).ok().map(|i| i as u64));
+            prop_assert_eq!(ranks.rank_before(c), order.partition_point(|&x| x < c) as u64);
         }
     }
 }
