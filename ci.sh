@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate for the PDC-Query reproduction.
 #
-#   ./ci.sh          build + full test suite + named fault-tolerance gate
+#   ./ci.sh          build + full test suite + bench-bin gates + CLI smokes
 #
 # Falls back to `--offline` when the crates.io registry is unreachable
 # (the workspace vendors API-compatible shims under compat/, so an
@@ -27,11 +27,11 @@ total_tests=$(grep -o '^test result: ok\. [0-9]* passed' "$test_log" | awk '{s +
 rm -f "$test_log"
 echo "ci: $total_tests tests passed in the workspace test suite"
 
-echo "== fault-tolerance gate =="
-cargo test -q $OFFLINE -- fault
+# The named suites the gates below rely on (fault, integrity, ingest,
+# pruning, replication, out-of-core, service) all run in the workspace
+# test suite above; the gates add the bench-bin checks and CLI smokes.
 
 echo "== integrity gate =="
-cargo test -q $OFFLINE -- integrity
 # Corruption smoke: a run with 5% of regions corrupted must exit 0 and
 # return the same selection (hits + runs) as the clean run.
 cargo build --release $OFFLINE -p pdc-cli
@@ -98,11 +98,7 @@ target/release/adaptive /tmp/ci_adaptive.json
 echo "== ingest gate =="
 # Streaming ingest: a query running mid-ingest must be bit-identical to
 # the same query on a store imported whole at the extent it planned
-# against, for every strategy, with and without faults/corruption.
-cargo test -q $OFFLINE -p pdc-query --test ingest_consistency
-cargo test -q $OFFLINE -p pdc-odms --test persist_negative
-cargo test -q $OFFLINE -p pdc-histogram --test histogram_props
-# Bench-bin correctness gate (exits non-zero on any divergence from the
+# against. Bench-bin correctness gate (exits non-zero on any divergence from the
 # sealed baselines), then a CLI smoke that appends 10% of the particles
 # across 3 batches mid-series and asserts every extent sealed-consistent.
 target/release/ingest /tmp/ci_ingest.json
@@ -120,7 +116,6 @@ echo "== pruning gate =="
 # the directory on or off, all strategies, under faults + corruption),
 # and the bench bin asserts the conjunctive 3-D window workload admits
 # >= 2x fewer regions than 1-D min/max pruning.
-cargo test -q $OFFLINE -p pdc-query --test pruning_props
 target/release/pruning /tmp/ci_pruning.json
 dir_out=$($PDC query "Energy > 2.0 AND 100 < x < 200" $SMOKE_ARGS --joint Energy,x --explain)
 echo "$dir_out" | grep -q '^joint bounds: registered (Energy,x)' || {
@@ -140,13 +135,10 @@ fi
 echo "pruning smoke: '$dir_hits' identical with and without the directory"
 
 echo "== replication gate =="
-# K-way replication: the kill-matrix tests (every strategy x k x kills
-# combination bit-identical or a typed RetriesExhausted), the bench
-# bin's own gate (k >= 2 kill degradation <= 1.1x the no-kill series,
+# K-way replication: the bench bin's own gate (k >= 2 kill degradation <= 1.1x the no-kill series,
 # recovery lane silent under placement), and a CLI smoke of the
 # replica-aware routing + elastic membership surface. The smoke query
 # touches every region so the kill probe actually fires mid-evaluation.
-cargo test -q $OFFLINE -- replication
 target/release/replication /tmp/ci_replication.json
 REPL_Q="Energy > 0"
 plain_hits=$($PDC query "$REPL_Q" $SMOKE_ARGS | grep -o '[0-9]* hits ([0-9]* runs)')
@@ -177,13 +169,7 @@ $PDC query "$SMOKE_Q" $SMOKE_ARGS --replicas 2 --explain | grep -q 'slot routes 
 echo "replication smoke: '$repl_hits' identical under kill, join, and leave"
 
 echo "== out-of-core gate =="
-# Spill tier: block files must roundtrip bit-exact and fail typed on
-# damage, and a memory-budgeted store must answer every strategy
-# bit-identically to an unbounded one (incl. simulated costs) across
-# faults, corruption, batches, and streaming appends.
-cargo test -q $OFFLINE -p pdc-blockstore
-cargo test -q $OFFLINE -p pdc-query --test spill_equivalence
-# Bench-bin gate (compression >= 2x, resident high-water <= budget with
+# Spill tier: bench-bin gate (compression >= 2x, resident high-water <= budget with
 # demotions observed, all strategies identical to unbounded), then a
 # CLI smoke under a budget far below the dataset.
 target/release/blockstore /tmp/ci_blockstore.json
@@ -200,13 +186,11 @@ echo "$spill_out" | grep -q '^out-of-core: resident high-water' || {
 echo "out-of-core smoke: '$spill_hits' identical under a 256K budget"
 
 echo "== service gate =="
-# Multi-tenant service loop: the equivalence suite (every admitted
-# query bit-identical to a solo run under faults, corruption,
-# replication, and spill), the bench bin's own gates (dispatch-order
+# Multi-tenant service loop: the bench bin's own gates (dispatch-order
 # replay identical, late shared-scan joins observed, flood mix degrades
-# well-behaved p99 <= 1.25x the uniform mix), and a CLI smoke replaying
-# the committed 3-tenant trace through `pdc serve`.
-cargo test -q $OFFLINE -p pdc-query --test service_equivalence
+# well-behaved p99 <= 1.25x the uniform mix), and CLI smokes replaying
+# the committed 3-tenant trace through `pdc serve`, unbounded and under
+# a 256K memory budget.
 target/release/service /tmp/ci_service.json
 serve_out=$($PDC serve --trace-file examples/service_trace.txt --particles 50000 --servers 4)
 echo "$serve_out" | grep -q 'service equivalence: PASS' || {
@@ -224,6 +208,20 @@ echo "$serve_out" | grep -Eq 'tenant +flood: .*\([1-9][0-9]* rejected' || {
     exit 1
 }
 echo "$serve_out" | tail -n 1
+spill_root=$(mktemp -d)
+budget_serve_out=$($PDC serve --trace-file examples/service_trace.txt --memory-budget 256K \
+    --spill-dir "$spill_root")
+echo "$budget_serve_out" | grep -q 'service equivalence: PASS' || {
+    echo "ci: budgeted service smoke FAILED: no equivalence PASS in serve run:" >&2
+    echo "$budget_serve_out" >&2
+    exit 1
+}
+if [ -n "$(ls -A "$spill_root")" ]; then
+    echo "ci: budgeted service smoke FAILED: spill directories left in $spill_root" >&2
+    exit 1
+fi
+rmdir "$spill_root"
+echo "$budget_serve_out" | tail -n 1
 
 echo "== clippy gate =="
 cargo clippy --release $OFFLINE --workspace --all-targets -- -D warnings

@@ -12,12 +12,15 @@
 
 use pdc_odms::{ImportOptions, Odms};
 use pdc_query::{
-    parse_query, Arrival, EngineConfig, ExplainPlan, QueryEngine, ServiceConfig, Strategy,
+    parse_query, Arrival, EngineConfig, ExplainPlan, MembershipReport, QueryEngine, QueryOutcome,
+    ServiceConfig, Strategy, TenantSpec,
 };
 use pdc_server::{CorruptionSpec, FaultPlan};
 use pdc_storage::{CostModel, SimDuration};
+use pdc_types::{PdcResult, TypedVec};
 use pdc_workloads::{VpicConfig, VpicData};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Parsed command line.
@@ -27,61 +30,49 @@ pub enum Command {
     Query {
         /// The query expression.
         expr: String,
-        /// Common options.
-        opts: CommonOpts,
-        /// Also fetch the named variable's values for the matches.
-        get_data: Option<String>,
-        /// Admit the expression this many times as one concurrent batch
-        /// (`> 1` switches to `run_batch` and prints throughput).
-        queries: u32,
-        /// Extra expressions (one per line) admitted in the same batch.
-        batch_file: Option<String>,
-        /// Variable pair (`"A,B"`) to register a joint-bounds grid for
-        /// before querying.
-        joint: Option<String>,
-        /// Admit a fresh server into the replicated pool mid-series
-        /// (elastic scale-out; requires `--replicas >= 2`).
-        join_server: bool,
-        /// Retire this server from the replicated pool mid-series
-        /// (elastic scale-in; requires `--replicas >= 2`).
-        leave_server: Option<u32>,
+        /// Options.
+        opts: Options,
     },
     /// Compare all five strategies on a few standard queries.
     Demo {
-        /// Common options.
-        opts: CommonOpts,
+        /// Options.
+        opts: Options,
     },
     /// Stream appends into `Energy` between queries and verify every
     /// observed extent against a sealed-store rerun.
     Ingest {
         /// The query expression run between appends.
         expr: String,
-        /// Common options.
-        opts: CommonOpts,
-        /// Number of streaming appends interleaved with the queries.
-        append_batches: u32,
-        /// Fraction of the dataset held back and appended mid-series.
-        append_fraction: f64,
+        /// Options.
+        opts: Options,
     },
-    /// Replay a timestamped open-loop arrival trace through the
-    /// multi-tenant admission-controlled service loop.
+    /// Replay the `--trace-file` arrival trace through the multi-tenant
+    /// admission-controlled service loop.
     Serve {
-        /// Path of the trace file (tenant declarations + arrivals).
-        trace_file: String,
-        /// Common options.
-        opts: CommonOpts,
-        /// Deficit-round-robin quantum in simulated milliseconds.
-        quantum_ms: f64,
-        /// Disable continuous batching (the open shared-scan group).
-        no_batching: bool,
+        /// Options.
+        opts: Options,
     },
     /// Print usage.
     Help,
 }
 
-/// Options shared by the subcommands.
+impl Command {
+    /// The options of a subcommand (`None` for help).
+    fn options(&self) -> Option<&Options> {
+        match self {
+            Command::Query { opts, .. }
+            | Command::Demo { opts }
+            | Command::Ingest { opts, .. }
+            | Command::Serve { opts } => Some(opts),
+            Command::Help => None,
+        }
+    }
+}
+
+/// Every option of every subcommand. A flag that belongs to one
+/// subcommand is rejected by the others.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CommonOpts {
+pub struct Options {
     /// Particles per variable.
     pub particles: usize,
     /// Logical PDC servers.
@@ -118,9 +109,33 @@ pub struct CommonOpts {
     pub memory_budget: Option<u64>,
     /// Root directory for spilled block files (`None` = system temp).
     pub spill_dir: Option<String>,
+    /// Query: also fetch the named variable's values for the matches.
+    pub get_data: Option<String>,
+    /// Query: admit the expression this many times as one concurrent
+    /// batch (`> 1` switches to `run_batch` and prints throughput).
+    pub queries: u32,
+    /// Query: extra expressions (one per line) admitted in the same batch.
+    pub batch_file: Option<String>,
+    /// Query: variable pair (`"A,B"`) to register a joint-bounds grid for
+    /// before querying.
+    pub joint: Option<String>,
+    /// Query: admit a fresh server into the replicated pool mid-series
+    /// (elastic scale-out; requires `--replicas >= 2`).
+    pub join_server: bool,
+    /// Query: retire this server from the replicated pool mid-series
+    /// (elastic scale-in; requires `--replicas >= 2`).
+    pub leave_server: Option<u32>,
+    /// Ingest: number of streaming appends interleaved with the queries.
+    pub append_batches: u32,
+    /// Ingest: fraction of the dataset held back and appended mid-series.
+    pub append_fraction: f64,
+    /// Serve: path of the trace file (tenant declarations + arrivals).
+    pub trace_file: Option<String>,
+    /// Serve: deficit-round-robin quantum in simulated milliseconds.
+    pub quantum_ms: f64,
 }
 
-impl Default for CommonOpts {
+impl Default for Options {
     fn default() -> Self {
         Self {
             particles: 500_000,
@@ -138,6 +153,16 @@ impl Default for CommonOpts {
             replicas: 1,
             memory_budget: None,
             spill_dir: None,
+            get_data: None,
+            queries: 1,
+            batch_file: None,
+            joint: None,
+            join_server: false,
+            leave_server: None,
+            append_batches: 5,
+            append_fraction: 0.1,
+            trace_file: None,
+            quantum_ms: 5.0,
         }
     }
 }
@@ -147,7 +172,7 @@ pub const USAGE: &str = "\
 pdc — the PDC-Query reproduction CLI
 
 USAGE:
-  pdc query \"<expr>\" [options] [--get-data <var>]
+  pdc query \"<expr>\" [options]
   pdc demo [options]
   pdc ingest [\"<expr>\"] [options]
   pdc serve --trace-file <P> [options]
@@ -159,7 +184,7 @@ y, z, Ux, Uy, Uz. Example expressions:
   \"2.1 < Energy < 2.2\"
   \"Energy > 2.0 AND 100 < x < 200 AND -90 < y < 0 AND 0 < z < 66\"
 
-OPTIONS:
+OPTIONS (shared by every subcommand, except where marked 'only'):
   --particles <N>    particles per variable   (default 500000)
   --servers <N>      logical PDC servers      (default 16)
   --region-kb <N>    region size in KiB       (default 64)
@@ -201,13 +226,13 @@ OPTIONS:
                      and simulated costs are bit-identical to a fully
                      resident run (only host memory changes)
   --spill-dir <P>    root directory for spilled block files (default: the
-                     system temp dir; each store spills into its own
-                     per-process subdirectory)
+                     system temp dir); each store spills into its own
+                     subdirectory, removed when the command finishes
   --joint <A,B>      (query only) register a cross-variable joint-bounds
                      grid on the pair before querying; conjunctions over
                      both variables then kill candidate regions whose joint
                      cells are provably empty (e.g. --joint Energy,x)
-  --get-data <var>   fetch that variable's values for the matches (query only)
+  --get-data <var>   (query only) fetch that variable's values for the matches
   --join-server      (query only; needs --replicas >= 2) run the query, admit
                      a fresh server with live migration, and re-run — prints
                      the membership report and whether results changed
@@ -239,10 +264,6 @@ OPTIONS:
                      auto-register with weight=1 budget-ms=1000 cap=64
   --quantum-ms <F>   (serve only) deficit-round-robin quantum in simulated
                      milliseconds (default 5)
-  --no-batching      (serve only) disable continuous batching: dispatches
-                     are not folded into an open shared-scan group
-                     (results and per-query charges are identical either
-                     way; only host work changes)
 
 The serve subcommand replays the trace through the multi-tenant service
 loop: per-tenant FIFO queues, weighted-fair deficit-round-robin dispatch,
@@ -265,300 +286,126 @@ if every interleaved query was bit-identical to its sealed rerun.
 /// Parse `argv[1..]` into a command.
 pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, String> {
     let mut args = args.into_iter().peekable();
-    let sub = match args.next() {
-        None => return Ok(Command::Help),
-        Some(s) => s,
-    };
-    match sub.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
+    let Some(sub) = args.next() else { return Ok(Command::Help) };
+    Ok(match sub.as_str() {
+        "help" | "--help" | "-h" => Command::Help,
         "query" => {
             let expr = args.next().ok_or("query requires an expression".to_string())?;
-            let mut opts = CommonOpts::default();
-            let mut batch = BatchOpts::default();
-            parse_options(args, &mut opts, Some(&mut batch))?;
-            if batch.queries == 0 {
-                return Err("--queries must be at least 1".to_string());
-            }
-            Ok(Command::Query {
-                expr,
-                opts,
-                get_data: batch.get_data,
-                queries: batch.queries,
-                batch_file: batch.batch_file,
-                joint: batch.joint,
-                join_server: batch.join_server,
-                leave_server: batch.leave_server,
-            })
+            Command::Query { expr, opts: parse_options("query", args)? }
         }
-        "demo" => {
-            let mut opts = CommonOpts::default();
-            parse_options(args, &mut opts, None)?;
-            Ok(Command::Demo { opts })
-        }
+        "demo" => Command::Demo { opts: parse_options("demo", args)? },
         "ingest" => {
             // Optional positional expression before the flags.
-            let expr = match args.peek() {
-                Some(a) if !a.starts_with("--") => args.next().unwrap(),
-                _ => "2.1 < Energy < 2.2".to_string(),
-            };
-            let mut opts = CommonOpts::default();
-            let mut ingest = IngestOpts::default();
-            parse_ingest_options(args, &mut opts, &mut ingest)?;
-            if ingest.append_batches == 0 {
-                return Err("--append-batches must be at least 1".to_string());
-            }
-            if !(0.0..1.0).contains(&ingest.append_fraction) || ingest.append_fraction <= 0.0 {
-                return Err(format!(
-                    "--append-fraction {} must be within (0, 1)",
-                    ingest.append_fraction
-                ));
-            }
-            Ok(Command::Ingest {
-                expr,
-                opts,
-                append_batches: ingest.append_batches,
-                append_fraction: ingest.append_fraction,
-            })
+            let expr = args
+                .next_if(|a| !a.starts_with("--"))
+                .unwrap_or_else(|| "2.1 < Energy < 2.2".to_string());
+            Command::Ingest { expr, opts: parse_options("ingest", args)? }
         }
         "serve" => {
-            let mut opts = CommonOpts::default();
-            let mut serve = ServeOpts::default();
-            parse_serve_options(args, &mut opts, &mut serve)?;
-            let trace_file =
-                serve.trace_file.ok_or("serve requires --trace-file <path>".to_string())?;
-            if !serve.quantum_ms.is_finite() || serve.quantum_ms <= 0.0 {
-                return Err(format!("--quantum-ms {} must be positive", serve.quantum_ms));
+            let opts = parse_options("serve", args)?;
+            if opts.trace_file.is_none() {
+                return Err("serve requires --trace-file <path>".to_string());
             }
-            Ok(Command::Serve {
-                trace_file,
-                opts,
-                quantum_ms: serve.quantum_ms,
-                no_batching: serve.no_batching,
-            })
+            Command::Serve { opts }
         }
-        other => Err(format!("unknown subcommand '{other}' (try 'pdc help')")),
+        other => return Err(format!("unknown subcommand '{other}' (try 'pdc help')")),
+    })
+}
+
+/// The subcommand a flag belongs to, or `None` for a flag every
+/// subcommand takes.
+fn flag_owner(flag: &str) -> Option<&'static str> {
+    match flag {
+        "--get-data" | "--queries" | "--batch-file" | "--joint" | "--join-server"
+        | "--leave-server" => Some("query"),
+        "--append-batches" | "--append-fraction" => Some("ingest"),
+        "--trace-file" | "--quantum-ms" => Some("serve"),
+        _ => None,
     }
 }
 
-/// Options valid only for `pdc serve`.
-struct ServeOpts {
-    trace_file: Option<String>,
-    quantum_ms: f64,
-    no_batching: bool,
-}
-
-impl Default for ServeOpts {
-    fn default() -> Self {
-        Self { trace_file: None, quantum_ms: 5.0, no_batching: false }
-    }
-}
-
-/// Parse serve flags, deferring everything else to [`parse_options`].
-fn parse_serve_options<I: Iterator<Item = String>>(
-    args: std::iter::Peekable<I>,
-    opts: &mut CommonOpts,
-    serve: &mut ServeOpts,
-) -> Result<(), String> {
-    let mut rest = Vec::new();
-    let mut args = args;
+/// The flag loop of every subcommand: each flag's value is parsed and
+/// range-checked where it is read.
+fn parse_options(sub: &str, mut args: impl Iterator<Item = String>) -> Result<Options, String> {
+    let mut o = Options::default();
     while let Some(flag) = args.next() {
-        let mut value = |name: &str| {
-            args.next().ok_or_else(|| format!("{name} requires a value"))
-        };
-        match flag.as_str() {
-            "--trace-file" => serve.trace_file = Some(value("--trace-file")?),
-            "--quantum-ms" => {
-                serve.quantum_ms = value("--quantum-ms")?
-                    .parse()
-                    .map_err(|e| format!("--quantum-ms: {e}"))?;
-            }
-            "--no-batching" => serve.no_batching = true,
-            other => rest.push(other.to_string()),
+        if let Some(owner) = flag_owner(&flag).filter(|&owner| owner != sub) {
+            return Err(format!("{flag} is only valid for 'pdc {owner}'"));
         }
-    }
-    parse_options(rest.into_iter().peekable(), opts, None)
-}
-
-/// Options valid only for `pdc ingest`.
-struct IngestOpts {
-    append_batches: u32,
-    append_fraction: f64,
-}
-
-impl Default for IngestOpts {
-    fn default() -> Self {
-        Self { append_batches: 5, append_fraction: 0.1 }
-    }
-}
-
-/// Parse ingest flags, deferring everything else to [`parse_options`].
-fn parse_ingest_options<I: Iterator<Item = String>>(
-    args: std::iter::Peekable<I>,
-    opts: &mut CommonOpts,
-    ingest: &mut IngestOpts,
-) -> Result<(), String> {
-    let mut rest = Vec::new();
-    let mut args = args;
-    while let Some(flag) = args.next() {
-        let mut value = |name: &str| {
-            args.next().ok_or_else(|| format!("{name} requires a value"))
-        };
-        match flag.as_str() {
-            "--append-batches" => {
-                ingest.append_batches = value("--append-batches")?
-                    .parse()
-                    .map_err(|e| format!("--append-batches: {e}"))?;
-            }
-            "--append-fraction" => {
-                ingest.append_fraction = value("--append-fraction")?
-                    .parse()
-                    .map_err(|e| format!("--append-fraction: {e}"))?;
-            }
-            other => rest.push(other.to_string()),
-        }
-    }
-    parse_options(rest.into_iter().peekable(), opts, None)
-}
-
-/// Options valid only for `pdc query`.
-struct BatchOpts {
-    get_data: Option<String>,
-    queries: u32,
-    batch_file: Option<String>,
-    joint: Option<String>,
-    join_server: bool,
-    leave_server: Option<u32>,
-}
-
-impl Default for BatchOpts {
-    fn default() -> Self {
-        Self {
-            get_data: None,
-            queries: 1,
-            batch_file: None,
-            joint: None,
-            join_server: false,
-            leave_server: None,
-        }
-    }
-}
-
-fn parse_options<I: Iterator<Item = String>>(
-    mut args: std::iter::Peekable<I>,
-    opts: &mut CommonOpts,
-    mut query_only: Option<&mut BatchOpts>,
-) -> Result<(), String> {
-    while let Some(flag) = args.next() {
-        let mut value = |name: &str| {
-            args.next().ok_or_else(|| format!("{name} requires a value"))
-        };
-        match flag.as_str() {
-            "--particles" => {
-                opts.particles =
-                    value("--particles")?.parse().map_err(|e| format!("--particles: {e}"))?;
-            }
-            "--servers" => {
-                opts.servers =
-                    value("--servers")?.parse().map_err(|e| format!("--servers: {e}"))?;
-            }
-            "--region-kb" => {
-                let kb: u64 =
-                    value("--region-kb")?.parse().map_err(|e| format!("--region-kb: {e}"))?;
-                opts.region_bytes = kb << 10;
-            }
-            "--seed" => {
-                opts.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--fault-seed" => {
-                opts.fault_seed = Some(
-                    value("--fault-seed")?.parse().map_err(|e| format!("--fault-seed: {e}"))?,
-                );
-            }
-            "--kill-servers" => {
-                opts.kill_servers = value("--kill-servers")?
-                    .parse()
-                    .map_err(|e| format!("--kill-servers: {e}"))?;
-            }
-            "--corrupt-regions" => {
-                opts.corrupt_regions = value("--corrupt-regions")?
-                    .parse()
-                    .map_err(|e| format!("--corrupt-regions: {e}"))?;
-            }
-            "--corrupt-seed" => {
-                opts.corrupt_seed = Some(
-                    value("--corrupt-seed")?
-                        .parse()
-                        .map_err(|e| format!("--corrupt-seed: {e}"))?,
-                );
-            }
-            "--scan-threads" => {
-                opts.scan_threads = value("--scan-threads")?
-                    .parse()
-                    .map_err(|e| format!("--scan-threads: {e}"))?;
-            }
+        let f = flag.as_str();
+        let mut value = || args.next().ok_or_else(|| format!("{f} requires a value"));
+        match f {
+            "--particles" => o.particles = number(f, value()?)?,
+            "--servers" => o.servers = number(f, value()?)?,
+            "--region-kb" => o.region_bytes = number::<u64>(f, value()?)? << 10,
+            "--seed" => o.seed = number(f, value()?)?,
+            "--fault-seed" => o.fault_seed = Some(number(f, value()?)?),
+            "--kill-servers" => o.kill_servers = number(f, value()?)?,
+            "--corrupt-regions" => o.corrupt_regions = number(f, value()?)?,
+            "--corrupt-seed" => o.corrupt_seed = Some(number(f, value()?)?),
+            "--scan-threads" => o.scan_threads = number(f, value()?)?,
             "--replicas" => {
-                opts.replicas =
-                    value("--replicas")?.parse().map_err(|e| format!("--replicas: {e}"))?;
-                if opts.replicas == 0 {
+                o.replicas = number(f, value()?)?;
+                if o.replicas == 0 {
                     return Err("--replicas must be at least 1".to_string());
                 }
             }
             "--memory-budget" => {
-                let budget = parse_size(&value("--memory-budget")?)?;
+                let budget = parse_size(&value()?)?;
                 if budget == 0 {
                     return Err("--memory-budget must be positive".to_string());
                 }
-                opts.memory_budget = Some(budget);
+                o.memory_budget = Some(budget);
             }
-            "--spill-dir" => {
-                opts.spill_dir = Some(value("--spill-dir")?);
-            }
-            "--strategy" => {
-                opts.strategy = parse_strategy(&value("--strategy")?)?;
-            }
-            "--explain" => {
-                opts.explain = true;
-            }
-            "--no-directory" => {
-                opts.no_directory = true;
-            }
-            "--joint" => match query_only.as_deref_mut() {
-                Some(b) => b.joint = Some(value("--joint")?),
-                None => return Err("--joint is only valid for 'pdc query'".to_string()),
-            },
-            "--get-data" => match query_only.as_deref_mut() {
-                Some(b) => b.get_data = Some(value("--get-data")?),
-                None => return Err("--get-data is only valid for 'pdc query'".to_string()),
-            },
-            "--queries" => match query_only.as_deref_mut() {
-                Some(b) => {
-                    b.queries =
-                        value("--queries")?.parse().map_err(|e| format!("--queries: {e}"))?;
+            "--spill-dir" => o.spill_dir = Some(value()?),
+            "--strategy" => o.strategy = parse_strategy(&value()?)?,
+            "--explain" => o.explain = true,
+            "--no-directory" => o.no_directory = true,
+            "--joint" => o.joint = Some(value()?),
+            "--get-data" => o.get_data = Some(value()?),
+            "--queries" => {
+                o.queries = number(f, value()?)?;
+                if o.queries == 0 {
+                    return Err("--queries must be at least 1".to_string());
                 }
-                None => return Err("--queries is only valid for 'pdc query'".to_string()),
-            },
-            "--batch-file" => match query_only.as_deref_mut() {
-                Some(b) => b.batch_file = Some(value("--batch-file")?),
-                None => return Err("--batch-file is only valid for 'pdc query'".to_string()),
-            },
-            "--join-server" => match query_only.as_deref_mut() {
-                Some(b) => b.join_server = true,
-                None => return Err("--join-server is only valid for 'pdc query'".to_string()),
-            },
-            "--leave-server" => match query_only.as_deref_mut() {
-                Some(b) => {
-                    b.leave_server = Some(
-                        value("--leave-server")?
-                            .parse()
-                            .map_err(|e| format!("--leave-server: {e}"))?,
-                    );
+            }
+            "--batch-file" => o.batch_file = Some(value()?),
+            "--join-server" => o.join_server = true,
+            "--leave-server" => o.leave_server = Some(number(f, value()?)?),
+            "--append-batches" => {
+                o.append_batches = number(f, value()?)?;
+                if o.append_batches == 0 {
+                    return Err("--append-batches must be at least 1".to_string());
                 }
-                None => return Err("--leave-server is only valid for 'pdc query'".to_string()),
-            },
+            }
+            "--append-fraction" => {
+                o.append_fraction = number(f, value()?)?;
+                if !(o.append_fraction > 0.0 && o.append_fraction < 1.0) {
+                    return Err(format!(
+                        "--append-fraction {} must be within (0, 1)",
+                        o.append_fraction
+                    ));
+                }
+            }
+            "--trace-file" => o.trace_file = Some(value()?),
+            "--quantum-ms" => {
+                o.quantum_ms = number(f, value()?)?;
+                if !o.quantum_ms.is_finite() || o.quantum_ms <= 0.0 {
+                    return Err(format!("--quantum-ms {} must be positive", o.quantum_ms));
+                }
+            }
             other => return Err(format!("unknown option '{other}'")),
         }
     }
-    Ok(())
+    Ok(o)
+}
+
+/// Parse a flag's value, naming the flag in the error.
+fn number<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 /// Parse a byte size with an optional K/M/G binary suffix ("64M").
@@ -589,41 +436,166 @@ pub fn parse_strategy(s: &str) -> Result<Strategy, String> {
     }
 }
 
-/// Stand up a world per the options: generate, import all 7 variables
-/// (index everywhere, sorted replica on Energy), return the system.
-pub fn build_world(opts: &CommonOpts) -> (Arc<Odms>, VpicData) {
-    let data = VpicData::generate(&VpicConfig { particles: opts.particles, seed: opts.seed });
-    let odms = Arc::new(Odms::new(64));
-    // Spill is configured before the import so ingest itself runs under
-    // the budget: regions demote as they seal instead of peaking at the
-    // full dataset size first.
-    configure_spill(&odms, opts);
-    let container = odms.create_container("cli");
-    let import = ImportOptions {
-        region_bytes: opts.region_bytes,
-        build_index: true,
-        build_sorted: true,
-        ..Default::default()
-    };
-    data.import_all(&odms, container, &import).expect("import");
-    (odms, data)
+/// One arrival of a serve trace: the query `expr` submitted by `tenant`
+/// at simulated time `at`.
+#[derive(Debug, Clone, PartialEq)]
+struct TraceArrival {
+    /// Submission time.
+    at: SimDuration,
+    /// Submitting tenant.
+    tenant: String,
+    /// Query expression (parsed later, against the dataset).
+    expr: String,
 }
 
-/// Put the store in out-of-core mode when `--memory-budget` was given.
-/// Every store gets its own fresh subdirectory: block-file names encode
-/// only (object, region), and distinct worlds in one process reuse the
-/// same ids, so sharing a directory would cross their spill files.
-pub fn configure_spill(odms: &Arc<Odms>, opts: &CommonOpts) {
-    let Some(budget) = opts.memory_budget else { return };
-    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let n = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let root = opts.spill_dir.as_ref().map(PathBuf::from).unwrap_or_else(std::env::temp_dir);
-    let dir = root.join(format!("pdc_spill_{}_{n}", std::process::id()));
-    odms.store().configure_spill(&dir, budget, 32 << 20).expect("configure spill directory");
+/// A parsed serve trace.
+#[derive(Debug, Clone, PartialEq)]
+struct Trace {
+    /// Tenants in registration order: declared ones first (a repeated
+    /// declaration updates the first), then every undeclared arrival
+    /// tenant with weight=1 budget-ms=1000 cap=64.
+    tenants: Vec<TenantSpec>,
+    /// Arrivals in file order.
+    arrivals: Vec<TraceArrival>,
+}
+
+/// Parse the serve trace grammar (see `--trace-file` in [`USAGE`]):
+/// '#' comments and blanks are skipped; 'tenant' lines declare policies;
+/// everything else is an arrival of the form '<t_ms> <tenant> <expr>'.
+fn parse_trace(text: &str) -> Result<Trace, String> {
+    let mut tenants: Vec<TenantSpec> = Vec::new();
+    let mut arrivals = Vec::new();
+    for (idx, line) in text.lines().enumerate() {
+        let lineno = idx + 1;
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let mut it = line.split_whitespace();
+        let first = it.next().expect("non-empty trimmed line");
+        if first == "tenant" {
+            let name =
+                it.next().ok_or_else(|| format!("trace line {lineno}: tenant requires a name"))?;
+            let mut weight = 1u32;
+            let mut budget_ms = 1000.0f64;
+            let mut cap = 64usize;
+            for kv in it {
+                let (k, v) = kv.split_once('=').ok_or_else(|| {
+                    format!("trace line {lineno}: expected key=value, got '{kv}'")
+                })?;
+                match k {
+                    "weight" => weight = number(&format!("trace line {lineno}: weight"), v.into())?,
+                    "budget-ms" => {
+                        budget_ms = number(&format!("trace line {lineno}: budget-ms"), v.into())?
+                    }
+                    "cap" => cap = number(&format!("trace line {lineno}: cap"), v.into())?,
+                    other => {
+                        return Err(format!(
+                            "trace line {lineno}: unknown tenant attribute '{other}' \
+                             (expected weight=, budget-ms=, cap=)"
+                        ));
+                    }
+                }
+            }
+            if !budget_ms.is_finite() || budget_ms <= 0.0 {
+                return Err(format!("trace line {lineno}: budget-ms {budget_ms} must be positive"));
+            }
+            let budget = SimDuration::from_nanos((budget_ms * 1e6) as u64);
+            let spec = TenantSpec::new(name, weight, budget, cap);
+            match tenants.iter_mut().find(|t| t.name == name) {
+                Some(t) => *t = spec,
+                None => tenants.push(spec),
+            }
+        } else {
+            let at_ms: f64 = number(&format!("trace line {lineno}: arrival time"), first.into())?;
+            if !at_ms.is_finite() || at_ms < 0.0 {
+                return Err(format!(
+                    "trace line {lineno}: arrival time {at_ms} must be non-negative"
+                ));
+            }
+            let tenant = it
+                .next()
+                .ok_or_else(|| format!("trace line {lineno}: arrival requires a tenant name"))?
+                .to_string();
+            let expr = it.collect::<Vec<_>>().join(" ");
+            if expr.is_empty() {
+                return Err(format!("trace line {lineno}: arrival requires a query expression"));
+            }
+            let at = SimDuration::from_secs_f64(at_ms / 1e3);
+            arrivals.push(TraceArrival { at, tenant, expr });
+        }
+    }
+    if arrivals.is_empty() {
+        return Err("no arrivals in trace".to_string());
+    }
+    for a in &arrivals {
+        if !tenants.iter().any(|t| t.name == a.tenant) {
+            tenants.push(TenantSpec::new(&a.tenant, 1, SimDuration::from_millis(1000), 64));
+        }
+    }
+    Ok(Trace { tenants, arrivals })
+}
+
+/// A dataset imported into a fresh store. Dropping it removes the
+/// store's spill directory, if it has one.
+pub struct World {
+    /// The system the queries run against.
+    pub odms: Arc<Odms>,
+    spill_dir: Option<PathBuf>,
+}
+
+impl Drop for World {
+    fn drop(&mut self) {
+        if let Some(dir) = &self.spill_dir {
+            // Best effort: a directory left behind must not fail a run
+            // whose output is already complete.
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
+
+/// The calibrated VPIC dataset the options describe.
+fn dataset(opts: &Options) -> VpicData {
+    VpicData::generate(&VpicConfig { particles: opts.particles, seed: opts.seed })
+}
+
+/// Stand up a world per the options: import all 7 variables of `data`
+/// (index everywhere, sorted replica on Energy), with Energy cut to its
+/// first `energy_extent` elements.
+///
+/// With `--memory-budget`, spill is configured before the import so the
+/// import itself runs under the budget: regions demote as they seal
+/// instead of peaking at the full dataset size first. Every store gets
+/// its own fresh subdirectory: block-file names encode only (object,
+/// region), and distinct worlds in one process reuse the same ids, so
+/// sharing a directory would cross their spill files.
+pub fn build_world(opts: &Options, data: &VpicData, energy_extent: usize) -> PdcResult<World> {
+    let mut world = World { odms: Arc::new(Odms::new(64)), spill_dir: None };
+    if let Some(budget) = opts.memory_budget {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let n = SEQ.fetch_add(1, Ordering::Relaxed);
+        let root = opts.spill_dir.as_ref().map(PathBuf::from).unwrap_or_else(std::env::temp_dir);
+        let name = format!("pdc_spill_{}_{n}", std::process::id());
+        let dir = world.spill_dir.insert(root.join(name));
+        world.odms.store().configure_spill(dir, budget, 32 << 20)?;
+    }
+    let container = world.odms.create_container("cli");
+    for (name, values) in data.variables() {
+        let energy = name == "Energy";
+        let values = if energy { &values[..energy_extent] } else { &values[..] };
+        let import = ImportOptions {
+            region_bytes: opts.region_bytes,
+            build_index: true,
+            build_sorted: energy,
+            ..Default::default()
+        };
+        world.odms.import_array(container, name, TypedVec::Float(values.to_vec()), &import)?;
+    }
+    Ok(world)
 }
 
 /// One-line out-of-core report, or `None` when spill is off.
-pub fn format_spill_report(odms: &Arc<Odms>, opts: &CommonOpts) -> Option<String> {
+pub fn format_spill_report(odms: &Arc<Odms>, opts: &Options) -> Option<String> {
     let stats = odms.store().spill_stats()?;
     let budget = opts.memory_budget.unwrap_or(0);
     let ratio = if stats.spilled_comp_bytes > 0 {
@@ -650,7 +622,7 @@ pub fn format_spill_report(odms: &Arc<Odms>, opts: &CommonOpts) -> Option<String
 /// The fault plan implied by the options, if any. `--kill-servers` wins
 /// over `--fault-seed` when both are given (the seed then only picks
 /// which servers die); `--corrupt-regions` composes with either.
-pub fn fault_plan(opts: &CommonOpts) -> Result<Option<FaultPlan>, String> {
+pub fn fault_plan(opts: &Options) -> Result<Option<FaultPlan>, String> {
     if !(0.0..=1.0).contains(&opts.corrupt_regions) {
         return Err(format!(
             "--corrupt-regions {} must be within [0, 1]",
@@ -678,7 +650,7 @@ pub fn fault_plan(opts: &CommonOpts) -> Result<Option<FaultPlan>, String> {
 }
 
 /// An engine per the options, with the scale-appropriate cost model.
-pub fn build_engine(odms: &Arc<Odms>, opts: &CommonOpts) -> QueryEngine {
+pub fn build_engine(odms: &Arc<Odms>, opts: &Options) -> QueryEngine {
     let f = 125e9 / opts.particles as f64;
     QueryEngine::new(
         Arc::clone(odms),
@@ -688,7 +660,7 @@ pub fn build_engine(odms: &Arc<Odms>, opts: &CommonOpts) -> QueryEngine {
             cache_bytes_per_server: 1 << 30,
             cost: CostModel::scaled(f, f * opts.servers as f64 / 64.0, 256.0),
             order_by_selectivity: true,
-            fault_plan: fault_plan(opts).expect("fault plan validated at parse time"),
+            fault_plan: fault_plan(opts).expect("fault plan validated before the world was built"),
             scan_threads: opts.scan_threads,
             use_directory: !opts.no_directory,
             replicas: opts.replicas,
@@ -787,556 +759,410 @@ pub fn format_explain(odms: &Arc<Odms>, plan: &ExplainPlan) -> String {
     s
 }
 
-/// Execute a parsed command; returns the text to print.
+/// Execute a parsed command; returns the text to print. Options that
+/// are wrong without looking at any data are rejected before a dataset
+/// is generated, and every spill directory the command created is gone
+/// when it returns.
 pub fn run(cmd: Command) -> Result<String, String> {
+    if let Some(opts) = cmd.options() {
+        fault_plan(opts)?;
+    }
     match cmd {
         Command::Help => Ok(USAGE.to_string()),
-        Command::Query {
-            expr,
-            opts,
-            get_data,
-            queries,
-            batch_file,
-            joint,
-            join_server,
-            leave_server,
-        } => {
-            let mut out = String::new();
-            fault_plan(&opts)?; // validate before the expensive import
-            let (odms, _data) = build_world(&opts);
-            if let Some(spec) = &joint {
-                let (a, b) = spec
-                    .split_once(',')
-                    .ok_or_else(|| format!("--joint {spec}: expected 'A,B'"))?;
-                let a = odms.meta().lookup_name(a.trim()).map_err(|e| e.to_string())?.id;
-                let b = odms.meta().lookup_name(b.trim()).map_err(|e| e.to_string())?.id;
-                let bytes = odms.register_joint_pair(a, b).map_err(|e| e.to_string())?;
-                out.push_str(&format!("joint bounds: registered ({spec}), {bytes} B\n"));
-            }
-            let engine = build_engine(&odms, &opts);
-            let query = parse_query(&expr, &odms).map_err(|e| e.to_string())?;
-            out.push_str(&format!("query: {query}\n"));
-            if opts.replicas > 1 {
-                let members = engine.placement_members().unwrap_or_default();
-                let slots = engine.replica_sets().map(|s| s.len()).unwrap_or(0);
-                out.push_str(&format!(
-                    "replication: k={} over {} member(s), {} slot(s)\n",
-                    opts.replicas,
-                    members.len(),
-                    slots,
-                ));
-            }
-            // Elastic membership smoke: bracket the change with runs of
-            // the same query and report whether the bits moved (they
-            // must not).
-            if join_server || leave_server.is_some() {
-                let before = engine.run(&query).map_err(|e| e.to_string())?;
-                if join_server {
-                    let rep = engine.join_server().map_err(|e| e.to_string())?;
-                    let after = engine.run(&query).map_err(|e| e.to_string())?;
-                    out.push_str(&format!(
-                        "membership: +server {} — {} slot(s) re-homed, {} region(s) / {} B \
-                         copied; results unchanged: {}\n",
-                        rep.server,
-                        rep.slots_changed,
-                        rep.regions_copied,
-                        rep.bytes_copied,
-                        if after.selection == before.selection { "yes" } else { "NO" },
-                    ));
-                }
-                if let Some(s) = leave_server {
-                    let rep = engine.leave_server(s).map_err(|e| e.to_string())?;
-                    let after = engine.run(&query).map_err(|e| e.to_string())?;
-                    out.push_str(&format!(
-                        "membership: -server {} — {} slot(s) re-homed, {} region(s) / {} B \
-                         copied; results unchanged: {}\n",
-                        rep.server,
-                        rep.slots_changed,
-                        rep.regions_copied,
-                        rep.bytes_copied,
-                        if after.selection == before.selection { "yes" } else { "NO" },
-                    ));
-                }
-            }
+        Command::Query { expr, opts } => run_query(&expr, &opts),
+        Command::Demo { opts } => run_demo(&opts),
+        Command::Ingest { expr, opts } => run_ingest(&expr, &opts),
+        Command::Serve { opts } => run_serve(&opts),
+    }
+}
 
-            // Assemble the admitted series: the main expression repeated
-            // `--queries` times, plus every expression from the batch file.
-            let mut series = vec![query.clone(); queries.max(1) as usize];
-            if let Some(path) = &batch_file {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("--batch-file {path}: {e}"))?;
-                for line in text.lines() {
-                    let line = line.trim();
-                    if line.is_empty() || line.starts_with('#') {
-                        continue;
-                    }
-                    series.push(
-                        parse_query(line, &odms).map_err(|e| format!("{line}: {e}"))?,
-                    );
-                }
-            }
-
-            let mut explain_plan = None;
-            let outcome = if series.len() > 1 {
-                let batch = engine.run_batch(&series).map_err(|e| e.to_string())?;
-                if opts.explain {
-                    // Batch-mode variant: explain the lead query of the
-                    // series (operator choices are pure functions of
-                    // metadata/histograms/cost, so this is exactly the
-                    // pipeline every admission of it ran).
-                    let (_, plan) = engine.explain(&series[0]).map_err(|e| e.to_string())?;
-                    explain_plan = Some(plan);
-                }
-                // Throughput in simulated time: the CLI's output contract is
-                // byte-identical runs for identical flags, so the report must
-                // not include host wall clock (BENCH_throughput.json records
-                // that side).
-                let sim_secs = batch.batch_elapsed.as_secs_f64().max(1e-9);
-                let s = &batch.stats;
-                out.push_str(&format!(
-                    "batch: {} queries in simulated {} ({:.2} queries/simulated-s) — \
-                     plan cache {}/{} hits, artifact hit ratio {:.1}%, \
-                     shared reads saved {}/{}, prewarmed {} regions\n",
-                    s.queries,
-                    batch.batch_elapsed,
-                    s.queries as f64 / sim_secs,
-                    s.plan_hits,
-                    s.plan_hits + s.plan_misses,
-                    s.artifact_hit_ratio() * 100.0,
-                    s.resident_reads,
-                    s.region_touches,
-                    s.prewarm_regions,
-                ));
-                batch.outcomes.into_iter().next().expect("non-empty batch")
-            } else if opts.explain {
-                let (outcome, plan) = engine.explain(&query).map_err(|e| e.to_string())?;
-                explain_plan = Some(plan);
-                outcome
-            } else {
-                engine.run(&query).map_err(|e| e.to_string())?
-            };
+fn run_query(expr: &str, opts: &Options) -> Result<String, String> {
+    let mut out = String::new();
+    let world = build_world(opts, &dataset(opts), opts.particles).map_err(|e| e.to_string())?;
+    let odms = &world.odms;
+    if let Some(spec) = &opts.joint {
+        let (a, b) =
+            spec.split_once(',').ok_or_else(|| format!("--joint {spec}: expected 'A,B'"))?;
+        let a = odms.meta().lookup_name(a.trim()).map_err(|e| e.to_string())?.id;
+        let b = odms.meta().lookup_name(b.trim()).map_err(|e| e.to_string())?.id;
+        let bytes = odms.register_joint_pair(a, b).map_err(|e| e.to_string())?;
+        out.push_str(&format!("joint bounds: registered ({spec}), {bytes} B\n"));
+    }
+    let engine = build_engine(odms, opts);
+    let query = parse_query(expr, odms).map_err(|e| e.to_string())?;
+    out.push_str(&format!("query: {query}\n"));
+    if opts.replicas > 1 {
+        let members = engine.placement_members().unwrap_or_default();
+        let slots = engine.replica_sets().map(|s| s.len()).unwrap_or(0);
+        out.push_str(&format!(
+            "replication: k={} over {} member(s), {} slot(s)\n",
+            opts.replicas,
+            members.len(),
+            slots,
+        ));
+    }
+    // Elastic membership smoke: bracket each change with runs of the
+    // same query and report whether the bits moved (they must not).
+    if opts.join_server || opts.leave_server.is_some() {
+        let before = engine.run(&query).map_err(|e| e.to_string())?;
+        let mut report = |sign: char, rep: PdcResult<MembershipReport>| -> Result<(), String> {
+            let rep = rep.map_err(|e| e.to_string())?;
+            let after = engine.run(&query).map_err(|e| e.to_string())?;
             out.push_str(&format!(
-                "{}: {} hits ({} runs) in simulated {} — PFS {} B / {} requests, scanned {}\n",
-                opts.strategy,
-                outcome.nhits,
-                outcome.selection.num_runs(),
-                outcome.elapsed,
-                outcome.io.pfs_bytes_read,
-                outcome.io.pfs_read_requests,
-                outcome.work.elements_scanned,
+                "membership: {sign}server {} — {} slot(s) re-homed, {} region(s) / {} B \
+                 copied; results unchanged: {}\n",
+                rep.server,
+                rep.slots_changed,
+                rep.regions_copied,
+                rep.bytes_copied,
+                if after.selection == before.selection { "yes" } else { "NO" },
             ));
-            if let Some(line) = format_spill_report(&odms, &opts) {
-                out.push_str(&line);
-            }
-            if !outcome.failed_servers.is_empty() {
-                if outcome.breakdown.failover > SimDuration::ZERO
-                    || (opts.replicas > 1 && outcome.breakdown.recovery == SimDuration::ZERO)
-                {
-                    out.push_str(&format!(
-                        "faults: servers {:?} failed; slots failed over to live replicas \
-                         in {} retry round(s), failover overhead {}\n",
-                        outcome.failed_servers,
-                        outcome.retry_rounds,
-                        outcome.breakdown.failover,
-                    ));
-                } else {
-                    out.push_str(&format!(
-                        "faults: servers {:?} failed; recovered in {} retry round(s), \
-                         recovery overhead {}\n",
-                        outcome.failed_servers, outcome.retry_rounds, outcome.breakdown.recovery,
-                    ));
-                }
-            }
-            if outcome.rebuild_regions > 0 {
-                out.push_str(&format!(
-                    "rebuild: redundancy restored in the background — {} region(s) / {} B \
-                     re-replicated\n",
-                    outcome.rebuild_regions, outcome.rebuild_bytes,
-                ));
-            }
-            if outcome.integrity.any() {
-                out.push_str(&format!(
-                    "integrity: {} checksum failure(s), {} region(s) repaired, \
-                     {} aux rebuild(s), {} fallback region(s), overhead {}\n",
-                    outcome.integrity.checksum_failures,
-                    outcome.integrity.repaired_regions,
-                    outcome.integrity.aux_rebuilds,
-                    outcome.integrity.fallback_regions,
-                    outcome.breakdown.integrity,
-                ));
-            }
-            if let Some(plan) = &explain_plan {
-                out.push_str(&format_explain(&odms, plan));
-            }
-            if let Some(var) = get_data {
-                let meta = odms.meta().lookup_name(&var).map_err(|e| e.to_string())?;
-                let data = engine.get_data(&outcome, meta.id).map_err(|e| e.to_string())?;
-                let preview: Vec<String> = (0..data.data.len().min(8))
-                    .map(|i| format!("{}", data.data.get_value(i)))
-                    .collect();
-                out.push_str(&format!(
-                    "get_data({var}): {} values from {} servers in {} — first: [{}]\n",
-                    data.data.len(),
-                    data.servers_involved,
-                    data.elapsed,
-                    preview.join(", ")
-                ));
-            }
-            Ok(out)
+            Ok(())
+        };
+        if opts.join_server {
+            report('+', engine.join_server())?;
         }
-        Command::Ingest { expr, opts, append_batches, append_fraction } => {
-            fault_plan(&opts)?; // validate before the expensive import
-            let data =
-                VpicData::generate(&VpicConfig { particles: opts.particles, seed: opts.seed });
-            let total = opts.particles;
-            let append_total =
-                ((total as f64 * append_fraction).round() as usize).max(append_batches as usize);
-            if append_total >= total {
-                return Err(format!(
-                    "--append-fraction {append_fraction} leaves no initial extent for \
-                     {total} particles"
-                ));
-            }
-            let initial = total - append_total;
-            let import = ImportOptions {
-                region_bytes: opts.region_bytes,
-                build_index: true,
-                build_sorted: true,
-                ..Default::default()
-            };
-            // A world with every variable at full extent except Energy,
-            // which starts at the reduced initial extent and grows by
-            // streaming appends between queries.
-            let build_at = |energy_extent: usize| -> Result<Arc<Odms>, String> {
-                let odms = Arc::new(Odms::new(64));
-                let container = odms.create_container("cli");
-                for (name, values) in data.variables() {
-                    let vals = if name == "Energy" {
-                        values[..energy_extent].to_vec()
-                    } else {
-                        values.clone()
-                    };
-                    odms.import_array(
-                        container,
-                        name,
-                        pdc_types::TypedVec::Float(vals),
-                        &import,
-                    )
-                    .map_err(|e| e.to_string())?;
-                }
-                Ok(odms)
-            };
-            let odms = build_at(initial)?;
-            // Only the streamed-into world runs under the budget; the
-            // sealed rerun worlds stay fully resident, so the ingest gate
-            // doubles as a spill-on/off consistency check.
-            configure_spill(&odms, &opts);
-            let engine = build_engine(&odms, &opts);
-            let query = parse_query(&expr, &odms).map_err(|e| e.to_string())?;
-            let energy = odms.meta().lookup_name("Energy").map_err(|e| e.to_string())?.id;
-
-            let mut out = String::new();
-            out.push_str(&format!(
-                "ingest: query {query}; initial {initial} elements, {append_batches} appends \
-                 totalling {append_total} ({:.1}% of {total})\n",
-                100.0 * append_total as f64 / total as f64,
-            ));
-            let chunk = append_total / append_batches as usize;
-            let mut consistent = 0u32;
-            let mut checked = 0u32;
-            for k in 0..=append_batches as usize {
-                let outcome = engine.run(&query).map_err(|e| e.to_string())?;
-                // Rerun against a store imported whole at the extent the
-                // plan saw: hits must be bit-identical.
-                let extent = outcome.planned_elements as usize;
-                let sealed = build_at(extent)?;
-                let sealed_engine = build_engine(&sealed, &opts);
-                let sealed_q = parse_query(&expr, &sealed).map_err(|e| e.to_string())?;
-                let sealed_out = sealed_engine.run(&sealed_q).map_err(|e| e.to_string())?;
-                let ok = outcome.nhits == sealed_out.nhits
-                    && outcome.selection == sealed_out.selection;
-                checked += 1;
-                consistent += ok as u32;
-                out.push_str(&format!(
-                    "  extent {extent} (epoch {}): {} hits — sealed rerun {} {}\n",
-                    outcome.planned_epoch,
-                    outcome.nhits,
-                    sealed_out.nhits,
-                    if ok { "ok" } else { "MISMATCH" },
-                ));
-                if k < append_batches as usize {
-                    let lo = initial + k * chunk;
-                    let hi = if k + 1 == append_batches as usize {
-                        total
-                    } else {
-                        initial + (k + 1) * chunk
-                    };
-                    let report = odms
-                        .append_array(
-                            energy,
-                            &pdc_types::TypedVec::Float(data.energy[lo..hi].to_vec()),
-                        )
-                        .map_err(|e| e.to_string())?;
-                    out.push_str(&format!(
-                        "  append {}: +{} elems (tail fill: {}, new regions: {}, sealed: {})\n",
-                        k + 1,
-                        report.appended_elems,
-                        report.filled_tail.map_or_else(|| "-".into(), |r| r.to_string()),
-                        report.new_regions.len(),
-                        report.sealed_regions.len(),
-                    ));
-                }
-            }
-            let maint = odms.run_deferred_maintenance().map_err(|e| e.to_string())?;
-            out.push_str(&format!(
-                "maintenance: rebuilt {} index region(s), {} sorted replica(s), {} B written\n",
-                maint.index_regions_rebuilt, maint.sorted_replicas_rebuilt, maint.bytes_written,
-            ));
-            // Post-maintenance rerun still matches the final extent.
-            let final_out = engine.run(&query).map_err(|e| e.to_string())?;
-            let sealed = build_at(final_out.planned_elements as usize)?;
-            let sealed_engine = build_engine(&sealed, &opts);
-            let sealed_q = parse_query(&expr, &sealed).map_err(|e| e.to_string())?;
-            let sealed_final = sealed_engine.run(&sealed_q).map_err(|e| e.to_string())?;
-            checked += 1;
-            consistent += (final_out.selection == sealed_final.selection) as u32;
-            if let Some(line) = format_spill_report(&odms, &opts) {
-                out.push_str(&line);
-            }
-            out.push_str(&format!(
-                "ingest gate: {} ({consistent}/{checked} extents sealed-consistent)\n",
-                if consistent == checked { "PASS" } else { "FAIL" },
-            ));
-            Ok(out)
-        }
-        Command::Demo { opts } => {
-            let mut out = String::new();
-            fault_plan(&opts)?; // validate before the expensive import
-            let (odms, _data) = build_world(&opts);
-            out.push_str(&format!(
-                "dataset: {} particles x 7 variables, {} regions of {} KiB, {} servers\n\n",
-                opts.particles,
-                odms.meta().lookup_name("Energy").unwrap().num_regions(),
-                opts.region_bytes >> 10,
-                opts.servers,
-            ));
-            if let Some(line) = format_spill_report(&odms, &opts) {
-                out.push_str(&line);
-                out.push('\n');
-            }
-            let queries = [
-                "2.1 < Energy < 2.2",
-                "3.5 < Energy < 3.6",
-                "Energy > 2.0 AND 100 < x < 200 AND -90 < y < 0 AND 0 < z < 66",
-            ];
-            for expr in queries {
-                out.push_str(&format!("query: {expr}\n"));
-                let query = parse_query(expr, &odms).map_err(|e| e.to_string())?;
-                for strategy in [
-                    Strategy::FullScan,
-                    Strategy::Histogram,
-                    Strategy::HistogramIndex,
-                    Strategy::SortedHistogram,
-                    Strategy::Adaptive,
-                ] {
-                    let engine =
-                        build_engine(&odms, &CommonOpts { strategy, ..opts.clone() });
-                    engine.run(&query).map_err(|e| e.to_string())?; // warm
-                    let outcome = engine.run(&query).map_err(|e| e.to_string())?;
-                    out.push_str(&format!(
-                        "  {:>7}: {:>8} hits, simulated {:>12}\n",
-                        strategy.label(),
-                        outcome.nhits,
-                        outcome.elapsed.to_string(),
-                    ));
-                }
-            }
-            Ok(out)
-        }
-        Command::Serve { trace_file, opts, quantum_ms, no_batching } => {
-            fault_plan(&opts)?; // validate before the expensive import
-            let text = std::fs::read_to_string(&trace_file)
-                .map_err(|e| format!("--trace-file {trace_file}: {e}"))?;
-            let (odms, _data) = build_world(&opts);
-            configure_spill(&odms, &opts);
-
-            // Trace grammar: '#' comments and blanks are skipped; 'tenant'
-            // lines register policies; everything else is an arrival of the
-            // form '<t_ms> <tenant> <expr>'.
-            struct RawArrival {
-                at_ms: f64,
-                tenant: String,
-                expr: String,
-            }
-            let mut raw: Vec<RawArrival> = Vec::new();
-            for (idx, line) in text.lines().enumerate() {
-                let lineno = idx + 1;
-                let line = line.trim();
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
-                let mut it = line.split_whitespace();
-                let first = it.next().expect("non-empty trimmed line");
-                if first == "tenant" {
-                    let name = it
-                        .next()
-                        .ok_or_else(|| format!("trace line {lineno}: tenant requires a name"))?;
-                    let mut weight = 1u32;
-                    let mut budget_ms = 1000.0f64;
-                    let mut cap = 64usize;
-                    for kv in it {
-                        let (k, v) = kv.split_once('=').ok_or_else(|| {
-                            format!("trace line {lineno}: expected key=value, got '{kv}'")
-                        })?;
-                        match k {
-                            "weight" => {
-                                weight = v
-                                    .parse()
-                                    .map_err(|e| format!("trace line {lineno}: weight: {e}"))?;
-                            }
-                            "budget-ms" => {
-                                budget_ms = v.parse().map_err(|e| {
-                                    format!("trace line {lineno}: budget-ms: {e}")
-                                })?;
-                            }
-                            "cap" => {
-                                cap = v
-                                    .parse()
-                                    .map_err(|e| format!("trace line {lineno}: cap: {e}"))?;
-                            }
-                            other => {
-                                return Err(format!(
-                                    "trace line {lineno}: unknown tenant attribute '{other}' \
-                                     (expected weight=, budget-ms=, cap=)"
-                                ));
-                            }
-                        }
-                    }
-                    if !budget_ms.is_finite() || budget_ms <= 0.0 {
-                        return Err(format!(
-                            "trace line {lineno}: budget-ms {budget_ms} must be positive"
-                        ));
-                    }
-                    odms.register_tenant(name, weight, (budget_ms * 1e6) as u64, cap);
-                } else {
-                    let at_ms: f64 = first
-                        .parse()
-                        .map_err(|e| format!("trace line {lineno}: arrival time: {e}"))?;
-                    if !at_ms.is_finite() || at_ms < 0.0 {
-                        return Err(format!(
-                            "trace line {lineno}: arrival time {at_ms} must be non-negative"
-                        ));
-                    }
-                    let tenant = it
-                        .next()
-                        .ok_or_else(|| {
-                            format!("trace line {lineno}: arrival requires a tenant name")
-                        })?
-                        .to_string();
-                    let expr = it.collect::<Vec<_>>().join(" ");
-                    if expr.is_empty() {
-                        return Err(format!(
-                            "trace line {lineno}: arrival requires a query expression"
-                        ));
-                    }
-                    raw.push(RawArrival { at_ms, tenant, expr });
-                }
-            }
-            if raw.is_empty() {
-                return Err(format!("--trace-file {trace_file}: no arrivals in trace"));
-            }
-            // Tenants referenced only by arrivals get the default policy.
-            for a in &raw {
-                if odms.tenant(&a.tenant).is_none() {
-                    odms.register_tenant(&a.tenant, 1, 1_000_000_000, 64);
-                }
-            }
-
-            let engine = build_engine(&odms, &opts);
-            let arrivals = raw
-                .iter()
-                .map(|a| {
-                    Ok(Arrival {
-                        at: SimDuration::from_secs_f64(a.at_ms / 1e3),
-                        tenant: a.tenant.clone(),
-                        query: parse_query(&a.expr, &odms)
-                            .map_err(|e| format!("'{}': {e}", a.expr))?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            let mut cfg = ServiceConfig::from_odms(&odms);
-            cfg.quantum = SimDuration::from_secs_f64(quantum_ms / 1e3);
-            cfg.continuous_batching = !no_batching;
-            let report = engine.serve(&cfg, &arrivals).map_err(|e| e.to_string())?;
-
-            let mut out = String::new();
-            out.push_str(&format!(
-                "serve: {} arrival(s) from {} tenant(s), quantum {}, \
-                 continuous batching {}\n",
-                report.stats.submitted,
-                cfg.tenants.len(),
-                cfg.quantum,
-                if cfg.continuous_batching { "on" } else { "off" },
-            ));
-            out.push_str(&format!(
-                "outcomes: {} completed, {} deferral(s), {} rejected \
-                 (simulated span {})\n",
-                report.stats.completed,
-                report.stats.deferrals,
-                report.stats.rejected,
-                report.end_time,
-            ));
-            for t in report.tenant_summaries() {
-                out.push_str(&format!(
-                    "  tenant {:>10}: {:>3}/{} done ({} rejected, {} deferred), \
-                     p50 {} p95 {} p99 {}, {:.2} q/s simulated\n",
-                    t.name,
-                    t.completed,
-                    t.submitted,
-                    t.rejected,
-                    t.deferred,
-                    t.p50,
-                    t.p95,
-                    t.p99,
-                    t.throughput_qps,
-                ));
-            }
-            if let Some(g) = report.group {
-                out.push_str(&format!(
-                    "shared scan group: {} member(s) over {} admission(s), \
-                     {} late join(s), {} interval(s) admitted, \
-                     {} region(s) prewarmed\n",
-                    g.members, g.admissions, g.late_joins, g.admitted_intervals,
-                    g.prewarm_regions,
-                ));
-            }
-
-            // Equivalence gate: replay the dispatch order sequentially on a
-            // twin world; every served outcome must be bit-identical to its
-            // solo run (scheduling decides *when*, never *what*).
-            let (twin, _d2) = build_world(&opts);
-            configure_spill(&twin, &opts);
-            let twin_engine = build_engine(&twin, &opts);
-            let mut identical = 0usize;
-            for s in &report.served {
-                let q = parse_query(&raw[s.arrival_index].expr, &twin)
-                    .map_err(|e| e.to_string())?;
-                let solo = twin_engine.run(&q).map_err(|e| e.to_string())?;
-                identical += (solo.selection == s.outcome.selection
-                    && solo.nhits == s.outcome.nhits
-                    && solo.elapsed == s.outcome.elapsed
-                    && solo.breakdown == s.outcome.breakdown)
-                    as usize;
-            }
-            out.push_str(&format!(
-                "service equivalence: {} ({identical}/{} served outcome(s) \
-                 bit-identical to solo replay)\n",
-                if identical == report.served.len() { "PASS" } else { "FAIL" },
-                report.served.len(),
-            ));
-            Ok(out)
+        if let Some(s) = opts.leave_server {
+            report('-', engine.leave_server(s))?;
         }
     }
+
+    // Assemble the admitted series: the main expression repeated
+    // `--queries` times, plus every expression from the batch file.
+    let mut series = vec![query.clone(); opts.queries.max(1) as usize];
+    if let Some(path) = &opts.batch_file {
+        let text =
+            std::fs::read_to_string(path).map_err(|e| format!("--batch-file {path}: {e}"))?;
+        for line in text.lines() {
+            let line = line.trim();
+            if line.is_empty() || line.starts_with('#') {
+                continue;
+            }
+            series.push(parse_query(line, odms).map_err(|e| format!("{line}: {e}"))?);
+        }
+    }
+
+    let mut explain_plan = None;
+    let outcome = if series.len() > 1 {
+        let batch = engine.run_batch(&series).map_err(|e| e.to_string())?;
+        if opts.explain {
+            // Batch-mode variant: explain the lead query of the series
+            // (operator choices are pure functions of metadata/histograms/
+            // cost, so this is exactly the pipeline every admission of it
+            // ran).
+            let (_, plan) = engine.explain(&series[0]).map_err(|e| e.to_string())?;
+            explain_plan = Some(plan);
+        }
+        // Throughput in simulated time: the CLI's output contract is
+        // byte-identical runs for identical flags, so the report must not
+        // include host wall clock (BENCH_throughput.json records that
+        // side).
+        let sim_secs = batch.batch_elapsed.as_secs_f64().max(1e-9);
+        let s = &batch.stats;
+        out.push_str(&format!(
+            "batch: {} queries in simulated {} ({:.2} queries/simulated-s) — \
+             plan cache {}/{} hits, artifact hit ratio {:.1}%, \
+             shared reads saved {}/{}, prewarmed {} regions\n",
+            s.queries,
+            batch.batch_elapsed,
+            s.queries as f64 / sim_secs,
+            s.plan_hits,
+            s.plan_hits + s.plan_misses,
+            s.artifact_hit_ratio() * 100.0,
+            s.resident_reads,
+            s.region_touches,
+            s.prewarm_regions,
+        ));
+        batch.outcomes.into_iter().next().expect("non-empty batch")
+    } else if opts.explain {
+        let (outcome, plan) = engine.explain(&query).map_err(|e| e.to_string())?;
+        explain_plan = Some(plan);
+        outcome
+    } else {
+        engine.run(&query).map_err(|e| e.to_string())?
+    };
+    out.push_str(&format!(
+        "{}: {} hits ({} runs) in simulated {} — PFS {} B / {} requests, scanned {}\n",
+        opts.strategy,
+        outcome.nhits,
+        outcome.selection.num_runs(),
+        outcome.elapsed,
+        outcome.io.pfs_bytes_read,
+        outcome.io.pfs_read_requests,
+        outcome.work.elements_scanned,
+    ));
+    if let Some(line) = format_spill_report(odms, opts) {
+        out.push_str(&line);
+    }
+    if !outcome.failed_servers.is_empty() {
+        if outcome.breakdown.failover > SimDuration::ZERO
+            || (opts.replicas > 1 && outcome.breakdown.recovery == SimDuration::ZERO)
+        {
+            out.push_str(&format!(
+                "faults: servers {:?} failed; slots failed over to live replicas \
+                 in {} retry round(s), failover overhead {}\n",
+                outcome.failed_servers, outcome.retry_rounds, outcome.breakdown.failover,
+            ));
+        } else {
+            out.push_str(&format!(
+                "faults: servers {:?} failed; recovered in {} retry round(s), \
+                 recovery overhead {}\n",
+                outcome.failed_servers, outcome.retry_rounds, outcome.breakdown.recovery,
+            ));
+        }
+    }
+    if outcome.rebuild_regions > 0 {
+        out.push_str(&format!(
+            "rebuild: redundancy restored in the background — {} region(s) / {} B \
+             re-replicated\n",
+            outcome.rebuild_regions, outcome.rebuild_bytes,
+        ));
+    }
+    if outcome.integrity.any() {
+        out.push_str(&format!(
+            "integrity: {} checksum failure(s), {} region(s) repaired, \
+             {} aux rebuild(s), {} fallback region(s), overhead {}\n",
+            outcome.integrity.checksum_failures,
+            outcome.integrity.repaired_regions,
+            outcome.integrity.aux_rebuilds,
+            outcome.integrity.fallback_regions,
+            outcome.breakdown.integrity,
+        ));
+    }
+    if let Some(plan) = &explain_plan {
+        out.push_str(&format_explain(odms, plan));
+    }
+    if let Some(var) = &opts.get_data {
+        let meta = odms.meta().lookup_name(var).map_err(|e| e.to_string())?;
+        let data = engine.get_data(&outcome, meta.id).map_err(|e| e.to_string())?;
+        let preview: Vec<String> = (0..data.data.len().min(8))
+            .map(|i| format!("{}", data.data.get_value(i)))
+            .collect();
+        out.push_str(&format!(
+            "get_data({var}): {} values from {} servers in {} — first: [{}]\n",
+            data.data.len(),
+            data.servers_involved,
+            data.elapsed,
+            preview.join(", ")
+        ));
+    }
+    Ok(out)
+}
+
+fn run_ingest(expr: &str, opts: &Options) -> Result<String, String> {
+    let total = opts.particles;
+    let batches = opts.append_batches as usize;
+    let append_total = ((total as f64 * opts.append_fraction).round() as usize).max(batches);
+    if append_total >= total {
+        return Err(format!(
+            "--append-fraction {} leaves no initial extent for {total} particles",
+            opts.append_fraction
+        ));
+    }
+    let initial = total - append_total;
+    // Every variable at full extent except Energy, which starts at the
+    // reduced initial extent and grows by streaming appends between
+    // queries.
+    let data = dataset(opts);
+    let world = build_world(opts, &data, initial).map_err(|e| e.to_string())?;
+    let odms = &world.odms;
+    let engine = build_engine(odms, opts);
+    let query = parse_query(expr, odms).map_err(|e| e.to_string())?;
+    let energy = odms.meta().lookup_name("Energy").map_err(|e| e.to_string())?.id;
+    // Rerun on a store imported whole at the extent the plan saw. Only
+    // the streamed-into world runs under the budget; the sealed rerun
+    // worlds stay fully resident, so the ingest gate doubles as a
+    // spill-on/off consistency check.
+    let resident = Options { memory_budget: None, ..opts.clone() };
+    let sealed_rerun = |outcome: &QueryOutcome| -> Result<QueryOutcome, String> {
+        let sealed = build_world(&resident, &data, outcome.planned_elements as usize)
+            .map_err(|e| e.to_string())?;
+        let q = parse_query(expr, &sealed.odms).map_err(|e| e.to_string())?;
+        build_engine(&sealed.odms, opts).run(&q).map_err(|e| e.to_string())
+    };
+
+    let mut out = String::new();
+    out.push_str(&format!(
+        "ingest: query {query}; initial {initial} elements, {batches} appends \
+         totalling {append_total} ({:.1}% of {total})\n",
+        100.0 * append_total as f64 / total as f64,
+    ));
+    let chunk = append_total / batches;
+    let mut consistent = 0u32;
+    let mut checked = 0u32;
+    for k in 0..=batches {
+        let outcome = engine.run(&query).map_err(|e| e.to_string())?;
+        let sealed = sealed_rerun(&outcome)?;
+        let ok = outcome.nhits == sealed.nhits && outcome.selection == sealed.selection;
+        checked += 1;
+        consistent += ok as u32;
+        out.push_str(&format!(
+            "  extent {} (epoch {}): {} hits — sealed rerun {} {}\n",
+            outcome.planned_elements,
+            outcome.planned_epoch,
+            outcome.nhits,
+            sealed.nhits,
+            if ok { "ok" } else { "MISMATCH" },
+        ));
+        if k < batches {
+            let lo = initial + k * chunk;
+            let hi = if k + 1 == batches { total } else { initial + (k + 1) * chunk };
+            let report = odms
+                .append_array(energy, &TypedVec::Float(data.energy[lo..hi].to_vec()))
+                .map_err(|e| e.to_string())?;
+            out.push_str(&format!(
+                "  append {}: +{} elems (tail fill: {}, new regions: {}, sealed: {})\n",
+                k + 1,
+                report.appended_elems,
+                report.filled_tail.map_or_else(|| "-".into(), |r| r.to_string()),
+                report.new_regions.len(),
+                report.sealed_regions.len(),
+            ));
+        }
+    }
+    let maint = odms.run_deferred_maintenance().map_err(|e| e.to_string())?;
+    out.push_str(&format!(
+        "maintenance: rebuilt {} index region(s), {} sorted replica(s), {} B written\n",
+        maint.index_regions_rebuilt, maint.sorted_replicas_rebuilt, maint.bytes_written,
+    ));
+    // Post-maintenance rerun still matches the final extent.
+    let final_out = engine.run(&query).map_err(|e| e.to_string())?;
+    checked += 1;
+    consistent += (final_out.selection == sealed_rerun(&final_out)?.selection) as u32;
+    if let Some(line) = format_spill_report(odms, opts) {
+        out.push_str(&line);
+    }
+    out.push_str(&format!(
+        "ingest gate: {} ({consistent}/{checked} extents sealed-consistent)\n",
+        if consistent == checked { "PASS" } else { "FAIL" },
+    ));
+    Ok(out)
+}
+
+fn run_demo(opts: &Options) -> Result<String, String> {
+    let mut out = String::new();
+    let world = build_world(opts, &dataset(opts), opts.particles).map_err(|e| e.to_string())?;
+    let odms = &world.odms;
+    out.push_str(&format!(
+        "dataset: {} particles x 7 variables, {} regions of {} KiB, {} servers\n\n",
+        opts.particles,
+        odms.meta().lookup_name("Energy").map_err(|e| e.to_string())?.num_regions(),
+        opts.region_bytes >> 10,
+        opts.servers,
+    ));
+    if let Some(line) = format_spill_report(odms, opts) {
+        out.push_str(&line);
+        out.push('\n');
+    }
+    let queries = [
+        "2.1 < Energy < 2.2",
+        "3.5 < Energy < 3.6",
+        "Energy > 2.0 AND 100 < x < 200 AND -90 < y < 0 AND 0 < z < 66",
+    ];
+    for expr in queries {
+        out.push_str(&format!("query: {expr}\n"));
+        let query = parse_query(expr, odms).map_err(|e| e.to_string())?;
+        for strategy in [
+            Strategy::FullScan,
+            Strategy::Histogram,
+            Strategy::HistogramIndex,
+            Strategy::SortedHistogram,
+            Strategy::Adaptive,
+        ] {
+            let engine = build_engine(odms, &Options { strategy, ..opts.clone() });
+            engine.run(&query).map_err(|e| e.to_string())?; // warm
+            let outcome = engine.run(&query).map_err(|e| e.to_string())?;
+            out.push_str(&format!(
+                "  {:>7}: {:>8} hits, simulated {:>12}\n",
+                strategy.label(),
+                outcome.nhits,
+                outcome.elapsed.to_string(),
+            ));
+        }
+    }
+    Ok(out)
+}
+
+fn run_serve(opts: &Options) -> Result<String, String> {
+    let path = opts.trace_file.as_deref().ok_or("serve requires --trace-file <path>")?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("--trace-file {path}: {e}"))?;
+    let trace = parse_trace(&text).map_err(|e| format!("--trace-file {path}: {e}"))?;
+    let data = dataset(opts);
+    let world = build_world(opts, &data, opts.particles).map_err(|e| e.to_string())?;
+    let odms = &world.odms;
+    let engine = build_engine(odms, opts);
+    let arrivals = trace
+        .arrivals
+        .iter()
+        .map(|a| {
+            Ok(Arrival {
+                at: a.at,
+                tenant: a.tenant.clone(),
+                query: parse_query(&a.expr, odms).map_err(|e| format!("'{}': {e}", a.expr))?,
+            })
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let mut cfg = ServiceConfig::new(trace.tenants);
+    cfg.quantum = SimDuration::from_secs_f64(opts.quantum_ms / 1e3);
+    let report = engine.serve(&cfg, &arrivals).map_err(|e| e.to_string())?;
+
+    let mut out = String::new();
+    out.push_str(&format!(
+        "serve: {} arrival(s) from {} tenant(s), quantum {}\n",
+        report.stats.submitted,
+        cfg.tenants.len(),
+        cfg.quantum,
+    ));
+    out.push_str(&format!(
+        "outcomes: {} completed, {} deferral(s), {} rejected (simulated span {})\n",
+        report.stats.completed, report.stats.deferrals, report.stats.rejected, report.end_time,
+    ));
+    for t in report.tenant_summaries() {
+        out.push_str(&format!(
+            "  tenant {:>10}: {:>3}/{} done ({} rejected, {} deferred), \
+             p50 {} p95 {} p99 {}, {:.2} q/s simulated\n",
+            t.name,
+            t.completed,
+            t.submitted,
+            t.rejected,
+            t.deferred,
+            t.p50,
+            t.p95,
+            t.p99,
+            t.throughput_qps,
+        ));
+    }
+    if let Some(g) = report.group {
+        out.push_str(&format!(
+            "shared scan group: {} member(s) over {} admission(s), \
+             {} late join(s), {} interval(s) admitted, \
+             {} region(s) prewarmed\n",
+            g.members, g.admissions, g.late_joins, g.admitted_intervals, g.prewarm_regions,
+        ));
+    }
+
+    // Equivalence gate: replay the dispatch order sequentially on a twin
+    // world; every served outcome must be bit-identical to its solo run
+    // (scheduling decides *when*, never *what*).
+    let twin = build_world(opts, &data, opts.particles).map_err(|e| e.to_string())?;
+    let twin_engine = build_engine(&twin.odms, opts);
+    let mut identical = 0usize;
+    for s in &report.served {
+        let q = parse_query(&trace.arrivals[s.arrival_index].expr, &twin.odms)
+            .map_err(|e| e.to_string())?;
+        let solo = twin_engine.run(&q).map_err(|e| e.to_string())?;
+        identical += (solo.selection == s.outcome.selection
+            && solo.nhits == s.outcome.nhits
+            && solo.elapsed == s.outcome.elapsed
+            && solo.breakdown == s.outcome.breakdown) as usize;
+    }
+    out.push_str(&format!(
+        "service equivalence: {} ({identical}/{} served outcome(s) \
+         bit-identical to solo replay)\n",
+        if identical == report.served.len() { "PASS" } else { "FAIL" },
+        report.served.len(),
+    ));
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1366,29 +1192,23 @@ mod tests {
         assert_eq!(parse_size("2g").unwrap(), 2 << 30);
         assert!(parse_size("nope").is_err());
         assert!(parse_args(argv("query E>1 --memory-budget 0")).is_err());
-        assert_eq!(CommonOpts::default().memory_budget, None);
+        assert_eq!(Options::default().memory_budget, None);
     }
 
     #[test]
     fn budgeted_query_matches_unbounded_and_reports() {
-        let base = CommonOpts { particles: 60_000, servers: 4, ..CommonOpts::default() };
-        let query = |opts: CommonOpts| {
+        let base = Options { particles: 60_000, servers: 4, ..Options::default() };
+        let query = |opts: Options| {
             run(Command::Query {
                 expr: "2.1 < Energy < 2.2".to_string(),
                 opts,
-                get_data: None,
-                queries: 1,
-                batch_file: None,
-                joint: None,
-                join_server: false,
-                leave_server: None,
             })
             .unwrap()
         };
         let unbounded = query(base.clone());
         // 7 variables x 60k f32 = ~1.6 MiB of data; 256 KiB forces most
         // sealed regions (and their index blobs) out of core.
-        let bounded = query(CommonOpts { memory_budget: Some(256 << 10), ..base });
+        let bounded = query(Options { memory_budget: Some(256 << 10), ..base });
         let hits = |s: &str| {
             s.lines().find(|l| l.contains(" hits (")).unwrap().split(':').nth(1).unwrap()
                 .trim().split(' ').next().unwrap().to_string()
@@ -1403,19 +1223,13 @@ mod tests {
     fn explain_marks_cold_regions() {
         let out = run(Command::Query {
             expr: "Energy > 2.0".to_string(),
-            opts: CommonOpts {
+            opts: Options {
                 particles: 40_000,
                 servers: 4,
                 explain: true,
                 memory_budget: Some(128 << 10),
-                ..CommonOpts::default()
+                ..Options::default()
             },
-            get_data: None,
-            queries: 1,
-            batch_file: None,
-            joint: None,
-            join_server: false,
-            leave_server: None,
         })
         .unwrap();
         let header = out.lines().find(|l| l.contains("pruned")).expect("explain table header");
@@ -1433,14 +1247,14 @@ mod tests {
     fn ingest_gate_passes_under_memory_budget() {
         let out = run(Command::Ingest {
             expr: "2.1 < Energy < 2.2".to_string(),
-            opts: CommonOpts {
+            opts: Options {
                 particles: 40_000,
                 servers: 4,
                 memory_budget: Some(256 << 10),
-                ..CommonOpts::default()
+                append_batches: 3,
+                append_fraction: 0.1,
+                ..Options::default()
             },
-            append_batches: 3,
-            append_fraction: 0.1,
         })
         .unwrap();
         // The sealed reruns are fully resident, so the gate is itself a
@@ -1471,16 +1285,16 @@ mod tests {
         ])
         .unwrap();
         match cmd {
-            Command::Query { expr, opts, get_data, queries, batch_file, joint, join_server, leave_server } => {
+            Command::Query { expr, opts } => {
                 assert_eq!(expr, "Energy > 2.0");
                 assert_eq!(opts.strategy, Strategy::HistogramIndex);
                 assert_eq!(opts.particles, 1000);
-                assert_eq!(get_data.as_deref(), Some("x"));
-                assert_eq!(queries, 1);
-                assert_eq!(batch_file, None);
-                assert_eq!(joint, None);
-                assert!(!join_server);
-                assert_eq!(leave_server, None);
+                assert_eq!(opts.get_data.as_deref(), Some("x"));
+                assert_eq!(opts.queries, 1);
+                assert_eq!(opts.batch_file, None);
+                assert_eq!(opts.joint, None);
+                assert!(!opts.join_server);
+                assert_eq!(opts.leave_server, None);
             }
             other => panic!("{other:?}"),
         }
@@ -1490,13 +1304,13 @@ mod tests {
     fn directory_flags_parse() {
         let cmd = parse_args(argv("query Energy>2 --no-directory --joint Energy,x")).unwrap();
         match cmd {
-            Command::Query { opts, joint, .. } => {
+            Command::Query { opts, .. } => {
                 assert!(opts.no_directory);
-                assert_eq!(joint.as_deref(), Some("Energy,x"));
+                assert_eq!(opts.joint.as_deref(), Some("Energy,x"));
             }
             other => panic!("{other:?}"),
         }
-        assert!(!CommonOpts::default().no_directory);
+        assert!(!Options::default().no_directory);
         assert!(parse_args(argv("demo --joint Energy,x")).is_err());
         // --no-directory is a common flag: demo accepts it.
         assert!(parse_args(argv("demo --no-directory")).is_ok());
@@ -1504,28 +1318,16 @@ mod tests {
 
     #[test]
     fn joint_directory_query_matches_undirected_run() {
-        let base = CommonOpts { particles: 50_000, servers: 4, explain: true, ..CommonOpts::default() };
+        let base = Options { particles: 50_000, servers: 4, explain: true, ..Options::default() };
         let expr = "Energy > 2.0 AND 100 < x < 200".to_string();
         let with = run(Command::Query {
             expr: expr.clone(),
-            opts: base.clone(),
-            get_data: None,
-            queries: 1,
-            batch_file: None,
-            joint: Some("Energy,x".to_string()),
-            join_server: false,
-            leave_server: None,
+            opts: Options { joint: Some("Energy,x".to_string()), ..base.clone() },
         })
         .unwrap();
         let without = run(Command::Query {
             expr,
-            opts: CommonOpts { no_directory: true, explain: false, ..base },
-            get_data: None,
-            queries: 1,
-            batch_file: None,
-            joint: None,
-            join_server: false,
-            leave_server: None,
+            opts: Options { no_directory: true, explain: false, ..base },
         })
         .unwrap();
         assert!(with.contains("joint bounds: registered (Energy,x)"), "{with}");
@@ -1562,26 +1364,20 @@ mod tests {
             Command::Query { opts, .. } => assert!(opts.explain),
             other => panic!("{other:?}"),
         }
-        assert!(!CommonOpts::default().explain);
+        assert!(!Options::default().explain);
     }
 
     #[test]
     fn explain_prints_operator_table() {
         let out = run(Command::Query {
             expr: "2.1 < Energy < 2.2".to_string(),
-            opts: CommonOpts {
+            opts: Options {
                 particles: 50_000,
                 servers: 4,
                 strategy: Strategy::Adaptive,
                 explain: true,
-                ..CommonOpts::default()
+                ..Options::default()
             },
-            get_data: None,
-            queries: 1,
-            batch_file: None,
-            joint: None,
-            join_server: false,
-            leave_server: None,
         })
         .unwrap();
         assert!(out.contains("explain: strategy PDC-A"), "{out}");
@@ -1595,18 +1391,13 @@ mod tests {
     fn batch_explain_prints_lead_query_table() {
         let out = run(Command::Query {
             expr: "2.1 < Energy < 2.2".to_string(),
-            opts: CommonOpts {
+            opts: Options {
                 particles: 50_000,
                 servers: 4,
                 explain: true,
-                ..CommonOpts::default()
+                queries: 4,
+                ..Options::default()
             },
-            get_data: None,
-            queries: 4,
-            batch_file: None,
-            joint: None,
-            join_server: false,
-            leave_server: None,
         })
         .unwrap();
         assert!(out.contains("batch: 4 queries"), "{out}");
@@ -1660,27 +1451,15 @@ mod tests {
 
     #[test]
     fn query_with_corruption_matches_clean_run() {
-        let base = CommonOpts { particles: 50_000, servers: 4, ..CommonOpts::default() };
+        let base = Options { particles: 50_000, servers: 4, ..Options::default() };
         let clean = run(Command::Query {
             expr: "2.1 < Energy < 2.2".to_string(),
             opts: base.clone(),
-            get_data: None,
-            queries: 1,
-            batch_file: None,
-            joint: None,
-            join_server: false,
-            leave_server: None,
         })
         .unwrap();
         let corrupt = run(Command::Query {
             expr: "2.1 < Energy < 2.2".to_string(),
-            opts: CommonOpts { corrupt_regions: 0.1, corrupt_seed: Some(7), ..base },
-            get_data: None,
-            queries: 1,
-            batch_file: None,
-            joint: None,
-            join_server: false,
-            leave_server: None,
+            opts: Options { corrupt_regions: 0.1, corrupt_seed: Some(7), ..base },
         })
         .unwrap();
         let hits = |s: &str| {
@@ -1699,7 +1478,7 @@ mod tests {
             Command::Demo { opts } => assert_eq!(opts.scan_threads, 1),
             other => panic!("{other:?}"),
         }
-        assert_eq!(CommonOpts::default().scan_threads, 0);
+        assert_eq!(Options::default().scan_threads, 0);
         assert!(parse_args(argv("demo --scan-threads nope")).is_err());
     }
 
@@ -1715,27 +1494,15 @@ mod tests {
 
     #[test]
     fn query_with_faults_matches_healthy_run() {
-        let base = CommonOpts { particles: 50_000, servers: 4, ..CommonOpts::default() };
+        let base = Options { particles: 50_000, servers: 4, ..Options::default() };
         let healthy = run(Command::Query {
             expr: "2.1 < Energy < 2.2".to_string(),
             opts: base.clone(),
-            get_data: None,
-            queries: 1,
-            batch_file: None,
-            joint: None,
-            join_server: false,
-            leave_server: None,
         })
         .unwrap();
         let faulty = run(Command::Query {
             expr: "2.1 < Energy < 2.2".to_string(),
-            opts: CommonOpts { kill_servers: 2, ..base },
-            get_data: None,
-            queries: 1,
-            batch_file: None,
-            joint: None,
-            join_server: false,
-            leave_server: None,
+            opts: Options { kill_servers: 2, ..base },
         })
         .unwrap();
         // Same hit count despite two dead servers; fault report present.
@@ -1772,9 +1539,9 @@ mod tests {
     fn batch_flags_parse() {
         let cmd = parse_args(argv("query Energy>2 --queries 8 --batch-file qs.txt")).unwrap();
         match cmd {
-            Command::Query { queries, batch_file, .. } => {
-                assert_eq!(queries, 8);
-                assert_eq!(batch_file.as_deref(), Some("qs.txt"));
+            Command::Query { opts, .. } => {
+                assert_eq!(opts.queries, 8);
+                assert_eq!(opts.batch_file.as_deref(), Some("qs.txt"));
             }
             other => panic!("{other:?}"),
         }
@@ -1785,27 +1552,15 @@ mod tests {
 
     #[test]
     fn batch_query_reports_throughput_and_matches_single_run() {
-        let opts = CommonOpts { particles: 50_000, servers: 4, ..CommonOpts::default() };
+        let opts = Options { particles: 50_000, servers: 4, ..Options::default() };
         let single = run(Command::Query {
             expr: "2.1 < Energy < 2.2".to_string(),
             opts: opts.clone(),
-            get_data: None,
-            queries: 1,
-            batch_file: None,
-            joint: None,
-            join_server: false,
-            leave_server: None,
         })
         .unwrap();
         let batched = run(Command::Query {
             expr: "2.1 < Energy < 2.2".to_string(),
-            opts,
-            get_data: None,
-            queries: 8,
-            batch_file: None,
-            joint: None,
-            join_server: false,
-            leave_server: None,
+            opts: Options { queries: 8, ..opts },
         })
         .unwrap();
         assert!(batched.contains("batch: 8 queries"), "{batched}");
@@ -1821,13 +1576,12 @@ mod tests {
     fn batch_file_missing_is_an_error() {
         let out = run(Command::Query {
             expr: "Energy > 2.0".to_string(),
-            opts: CommonOpts { particles: 10_000, servers: 2, ..CommonOpts::default() },
-            get_data: None,
-            queries: 1,
-            batch_file: Some("/nonexistent/queries.txt".to_string()),
-            joint: None,
-            join_server: false,
-            leave_server: None,
+            opts: Options {
+                particles: 10_000,
+                servers: 2,
+                batch_file: Some("/nonexistent/queries.txt".to_string()),
+                ..Options::default()
+            },
         });
         assert!(out.is_err());
     }
@@ -1836,10 +1590,10 @@ mod tests {
     fn ingest_flags_parse() {
         let cmd = parse_args(argv("ingest --append-batches 3 --append-fraction 0.2")).unwrap();
         match cmd {
-            Command::Ingest { expr, append_batches, append_fraction, .. } => {
+            Command::Ingest { expr, opts } => {
                 assert_eq!(expr, "2.1 < Energy < 2.2");
-                assert_eq!(append_batches, 3);
-                assert_eq!(append_fraction, 0.2);
+                assert_eq!(opts.append_batches, 3);
+                assert_eq!(opts.append_fraction, 0.2);
             }
             other => panic!("{other:?}"),
         }
@@ -1847,10 +1601,10 @@ mod tests {
         let cmd =
             parse_args(argv("ingest Energy>2 --particles 1000 --append-batches 2")).unwrap();
         match cmd {
-            Command::Ingest { expr, opts, append_batches, .. } => {
+            Command::Ingest { expr, opts } => {
                 assert_eq!(expr, "Energy>2");
                 assert_eq!(opts.particles, 1000);
-                assert_eq!(append_batches, 2);
+                assert_eq!(opts.append_batches, 2);
             }
             other => panic!("{other:?}"),
         }
@@ -1864,9 +1618,13 @@ mod tests {
     fn ingest_gate_passes_end_to_end() {
         let out = run(Command::Ingest {
             expr: "2.1 < Energy < 2.2".to_string(),
-            opts: CommonOpts { particles: 40_000, servers: 4, ..CommonOpts::default() },
-            append_batches: 3,
-            append_fraction: 0.1,
+            opts: Options {
+                particles: 40_000,
+                servers: 4,
+                append_batches: 3,
+                append_fraction: 0.1,
+                ..Options::default()
+            },
         })
         .unwrap();
         // 3 appends → 4 interleaved checks + the post-maintenance rerun.
@@ -1880,15 +1638,15 @@ mod tests {
     fn ingest_gate_passes_under_faults() {
         let out = run(Command::Ingest {
             expr: "Energy > 2.0".to_string(),
-            opts: CommonOpts {
+            opts: Options {
                 particles: 30_000,
                 servers: 4,
                 strategy: Strategy::Adaptive,
                 fault_seed: Some(7),
-                ..CommonOpts::default()
+                append_batches: 2,
+                append_fraction: 0.15,
+                ..Options::default()
             },
-            append_batches: 2,
-            append_fraction: 0.15,
         })
         .unwrap();
         assert!(out.contains("ingest gate: PASS"), "{out}");
@@ -1912,14 +1670,14 @@ mod tests {
             parse_args(argv("query Energy>2 --replicas 2 --join-server --leave-server 0"))
                 .unwrap();
         match cmd {
-            Command::Query { opts, join_server, leave_server, .. } => {
+            Command::Query { opts, .. } => {
                 assert_eq!(opts.replicas, 2);
-                assert!(join_server);
-                assert_eq!(leave_server, Some(0));
+                assert!(opts.join_server);
+                assert_eq!(opts.leave_server, Some(0));
             }
             other => panic!("{other:?}"),
         }
-        assert_eq!(CommonOpts::default().replicas, 1);
+        assert_eq!(Options::default().replicas, 1);
         // --replicas is a common flag; membership ops are query-only.
         assert!(parse_args(argv("demo --replicas 3")).is_ok());
         assert!(parse_args(argv("query E>1 --replicas 0")).is_err());
@@ -1929,25 +1687,19 @@ mod tests {
 
     #[test]
     fn replication_query_survives_kill_with_failover() {
-        let base = CommonOpts { particles: 50_000, servers: 4, ..CommonOpts::default() };
-        let query = |opts: CommonOpts| {
+        let base = Options { particles: 50_000, servers: 4, ..Options::default() };
+        let query = |opts: Options| {
             // A query that touches every region, so the killed server's
             // crash probe actually fires mid-evaluation.
             run(Command::Query {
                 expr: "Energy > 0".to_string(),
                 opts,
-                get_data: None,
-                queries: 1,
-                batch_file: None,
-                joint: None,
-                join_server: false,
-                leave_server: None,
             })
             .unwrap()
         };
         let healthy = query(base.clone());
         let replicated =
-            query(CommonOpts { replicas: 2, kill_servers: 1, fault_seed: Some(3), ..base });
+            query(Options { replicas: 2, kill_servers: 1, fault_seed: Some(3), ..base });
         let hits = |s: &str| {
             s.lines().find(|l| l.contains(" hits (")).unwrap().split(':').nth(1).unwrap()
                 .trim().split(' ').next().unwrap().to_string()
@@ -1963,18 +1715,14 @@ mod tests {
     fn replication_membership_smoke_preserves_results() {
         let out = run(Command::Query {
             expr: "2.1 < Energy < 2.2".to_string(),
-            opts: CommonOpts {
+            opts: Options {
                 particles: 50_000,
                 servers: 4,
                 replicas: 2,
-                ..CommonOpts::default()
+                join_server: true,
+                leave_server: Some(0),
+                ..Options::default()
             },
-            get_data: None,
-            queries: 1,
-            batch_file: None,
-            joint: None,
-            join_server: true,
-            leave_server: Some(0),
         })
         .unwrap();
         assert!(out.contains("membership: +server 4"), "{out}");
@@ -1987,13 +1735,12 @@ mod tests {
     fn replication_membership_requires_replicas() {
         let out = run(Command::Query {
             expr: "Energy > 2.0".to_string(),
-            opts: CommonOpts { particles: 10_000, servers: 2, ..CommonOpts::default() },
-            get_data: None,
-            queries: 1,
-            batch_file: None,
-            joint: None,
-            join_server: true,
-            leave_server: None,
+            opts: Options {
+                particles: 10_000,
+                servers: 2,
+                join_server: true,
+                ..Options::default()
+            },
         });
         assert!(out.unwrap_err().contains("replicas"), "needs --replicas >= 2");
     }
@@ -2002,19 +1749,13 @@ mod tests {
     fn replication_explain_shows_chosen_replica_per_slot() {
         let out = run(Command::Query {
             expr: "2.1 < Energy < 2.2".to_string(),
-            opts: CommonOpts {
+            opts: Options {
                 particles: 50_000,
                 servers: 4,
                 replicas: 2,
                 explain: true,
-                ..CommonOpts::default()
+                ..Options::default()
             },
-            get_data: None,
-            queries: 1,
-            batch_file: None,
-            joint: None,
-            join_server: false,
-            leave_server: None,
         })
         .unwrap();
         assert!(out.contains("slot routes (slot\u{2192}chosen server):"), "{out}");
@@ -2024,23 +1765,21 @@ mod tests {
     #[test]
     fn serve_flags_parse() {
         let cmd = parse_args(argv(
-            "serve --trace-file /tmp/t.trace --quantum-ms 2.5 --no-batching --servers 8",
+            "serve --trace-file /tmp/t.trace --quantum-ms 2.5 --servers 8",
         ))
         .unwrap();
         match cmd {
-            Command::Serve { trace_file, opts, quantum_ms, no_batching } => {
-                assert_eq!(trace_file, "/tmp/t.trace");
+            Command::Serve { opts } => {
+                assert_eq!(opts.trace_file.as_deref(), Some("/tmp/t.trace"));
                 assert_eq!(opts.servers, 8);
-                assert_eq!(quantum_ms, 2.5);
-                assert!(no_batching);
+                assert_eq!(opts.quantum_ms, 2.5);
             }
             other => panic!("{other:?}"),
         }
         // Defaults.
         match parse_args(argv("serve --trace-file t")).unwrap() {
-            Command::Serve { quantum_ms, no_batching, .. } => {
-                assert_eq!(quantum_ms, 5.0);
-                assert!(!no_batching);
+            Command::Serve { opts } => {
+                assert_eq!(opts.quantum_ms, 5.0);
             }
             other => panic!("{other:?}"),
         }
@@ -2067,10 +1806,12 @@ mod tests {
         )
         .unwrap();
         let out = run(Command::Serve {
-            trace_file: path.to_string_lossy().into_owned(),
-            opts: CommonOpts { particles: 30_000, servers: 4, ..CommonOpts::default() },
-            quantum_ms: 5.0,
-            no_batching: false,
+            opts: Options {
+                particles: 30_000,
+                servers: 4,
+                trace_file: Some(path.to_string_lossy().into_owned()),
+                ..Options::default()
+            },
         })
         .unwrap();
         std::fs::remove_file(&path).ok();
@@ -2098,17 +1839,21 @@ mod tests {
         )
         .unwrap();
         let a = run(Command::Serve {
-            trace_file: path.to_string_lossy().into_owned(),
-            opts: CommonOpts { particles: 20_000, servers: 4, ..CommonOpts::default() },
-            quantum_ms: 5.0,
-            no_batching: false,
+            opts: Options {
+                particles: 20_000,
+                servers: 4,
+                trace_file: Some(path.to_string_lossy().into_owned()),
+                ..Options::default()
+            },
         })
         .unwrap();
         let b = run(Command::Serve {
-            trace_file: path.to_string_lossy().into_owned(),
-            opts: CommonOpts { particles: 20_000, servers: 4, ..CommonOpts::default() },
-            quantum_ms: 5.0,
-            no_batching: false,
+            opts: Options {
+                particles: 20_000,
+                servers: 4,
+                trace_file: Some(path.to_string_lossy().into_owned()),
+                ..Options::default()
+            },
         })
         .unwrap();
         std::fs::remove_file(&path).ok();
@@ -2122,10 +1867,12 @@ mod tests {
         let serve = |body: &str| {
             std::fs::write(&path, body).unwrap();
             run(Command::Serve {
-                trace_file: path.to_string_lossy().into_owned(),
-                opts: CommonOpts { particles: 10_000, servers: 2, ..CommonOpts::default() },
-                quantum_ms: 5.0,
-                no_batching: false,
+                opts: Options {
+                    particles: 10_000,
+                    servers: 2,
+                    trace_file: Some(path.to_string_lossy().into_owned()),
+                    ..Options::default()
+                },
             })
         };
         assert!(serve("tenant a weight=x\n").unwrap_err().contains("weight"));
@@ -2134,5 +1881,76 @@ mod tests {
         assert!(serve("-1 alice Energy > 2\n").unwrap_err().contains("non-negative"));
         assert!(serve("# only comments\n").unwrap_err().contains("no arrivals"));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn malformed_trace_is_rejected_before_the_dataset_is_generated() {
+        let path = std::env::temp_dir()
+            .join(format!("pdc_cli_serve_early_{}.trace", std::process::id()));
+        std::fs::write(&path, "tenant a weight=x\n0.0 a Energy > 2\n").unwrap();
+        // A dataset of usize::MAX particles cannot be allocated: reaching
+        // generation would panic instead of returning the trace error.
+        let err = run(Command::Serve {
+            opts: Options {
+                particles: usize::MAX,
+                trace_file: Some(path.to_string_lossy().into_owned()),
+                ..Options::default()
+            },
+        })
+        .unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(err.contains("trace line 1: weight"), "{err}");
+    }
+
+    #[test]
+    fn budgeted_runs_leave_no_spill_directory_behind() {
+        let root = std::env::temp_dir().join(format!("pdc_cli_spill_root_{}", std::process::id()));
+        std::fs::create_dir_all(&root).unwrap();
+        let trace = root.with_extension("trace");
+        std::fs::write(&trace, "0.0 a 2.1 < Energy < 2.2\n0.0 b Energy > 3\n").unwrap();
+        let opts = Options {
+            particles: 40_000,
+            servers: 4,
+            memory_budget: Some(128 << 10),
+            spill_dir: Some(root.to_string_lossy().into_owned()),
+            ..Options::default()
+        };
+        let query = run(Command::Query { expr: "Energy > 2.0".to_string(), opts: opts.clone() });
+        assert!(query.unwrap().contains("region(s) spilled"));
+        let serve = run(Command::Serve {
+            opts: Options { trace_file: Some(trace.to_string_lossy().into_owned()), ..opts },
+        });
+        assert!(serve.unwrap().contains("service equivalence: PASS"));
+        let left: Vec<_> = std::fs::read_dir(&root).unwrap().collect();
+        std::fs::remove_dir_all(&root).ok();
+        std::fs::remove_file(&trace).ok();
+        assert!(left.is_empty(), "spill directories left behind: {left:?}");
+    }
+
+    proptest::proptest! {
+        /// Any text, including near-misses of the grammar, parses to a
+        /// trace or a typed error; it never panics.
+        #[test]
+        fn parse_trace_never_panics(
+            lines in proptest::collection::vec(
+                proptest::collection::vec(
+                    proptest::sample::select(vec![
+                        "tenant", "weight=2", "weight=-1", "budget-ms=1e400", "budget-ms=NaN",
+                        "cap=3", "cap=", "=", "a", "0.0", "-1", "1e308", "inf", "#",
+                        "Energy", ">", "2", "(", "\u{3000}", "\t", "",
+                    ]),
+                    0..6,
+                ),
+                0..8,
+            ),
+        ) {
+            let text: String = lines.iter().map(|l| l.join(" ") + "\n").collect();
+            if let Ok(trace) = parse_trace(&text) {
+                proptest::prop_assert!(!trace.arrivals.is_empty());
+                for a in &trace.arrivals {
+                    proptest::prop_assert!(trace.tenants.iter().any(|t| t.name == a.tenant));
+                }
+            }
+        }
     }
 }

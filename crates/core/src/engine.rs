@@ -117,9 +117,6 @@ pub struct EngineConfig {
     /// ([`QueryEngine::join_server`] / [`QueryEngine::leave_server`])
     /// becomes available. Results are bit-identical at every setting.
     pub replicas: u32,
-    /// Seed of the deterministic rendezvous placement layout (same seed ⇒
-    /// same replica sets on every host). Ignored when `replicas == 1`.
-    pub placement_seed: u64,
     /// Out-of-core mode: when `Some`, the object store demotes sealed
     /// least-recently-used regions to block-compressed spill files
     /// whenever its resident footprint exceeds this many bytes. Spilling
@@ -151,7 +148,6 @@ impl Default for EngineConfig {
             scan_kernels: true,
             use_directory: true,
             replicas: 1,
-            placement_seed: 0x5EED,
             memory_budget: None,
             spill_dir: None,
             block_cache_bytes: 32 << 20,
@@ -336,19 +332,28 @@ pub struct MembershipReport {
     pub bytes_copied: u64,
 }
 
-/// How many assignment slots each server is spread over under k-way
-/// replication. Finer slots make a failover move `1/spread` of the dead
-/// server's work to each distinct backup instead of a whole server's
-/// share — that is what flattens the PR 1 degradation curve. `n_servers`
-/// always divides `num_slots`, so region `r`'s anchor server stays
+/// Seed of the deterministic rendezvous placement layout: the same seed
+/// gives the same replica sets on every host.
+const PLACEMENT_SEED: u64 = 0x5EED;
+
+/// The k-way placement an engine starts from (`None` when unreplicated).
+/// Each server is spread over several assignment slots. Finer slots make
+/// a failover move `1/spread` of the dead server's work to each distinct
+/// backup instead of a whole server's share — that is what flattens the
+/// kill-degradation curve of single-home placement. `n_servers` always
+/// divides `num_slots`, so region `r`'s anchor server stays
 /// `r % n_servers` and a healthy replicated run does byte-identical
 /// per-server work to the unreplicated layout.
-fn slot_spread(replicas: u32, num_servers: u32) -> u32 {
-    if replicas <= 1 {
-        1
-    } else {
-        num_servers.saturating_sub(1).clamp(1, 24)
-    }
+fn initial_placement(cfg: &EngineConfig) -> Option<Arc<Placement>> {
+    (cfg.replicas > 1).then(|| {
+        let spread = cfg.num_servers.saturating_sub(1).clamp(1, 24);
+        Arc::new(Placement::new(
+            cfg.num_servers * spread,
+            cfg.num_servers,
+            cfg.replicas,
+            PLACEMENT_SEED,
+        ))
+    })
 }
 
 pub(crate) fn diff_io(after: &IoCounters, before: &IoCounters) -> IoCounters {
@@ -410,15 +415,7 @@ impl QueryEngine {
             }
             st
         });
-        let placement = (cfg.replicas > 1).then(|| {
-            let spread = slot_spread(cfg.replicas, cfg.num_servers);
-            Arc::new(Placement::new(
-                cfg.num_servers * spread,
-                cfg.num_servers,
-                cfg.replicas,
-                cfg.placement_seed,
-            ))
-        });
+        let placement = initial_placement(&cfg);
         let engine = Self {
             odms,
             pool,
@@ -713,15 +710,7 @@ impl QueryEngine {
         // come back up, joins/leaves are forgotten (the pool may keep
         // extra states around — ids are stable — but no work routes to
         // non-members).
-        *self.placement.lock().unwrap() = (self.cfg.replicas > 1).then(|| {
-            let spread = slot_spread(self.cfg.replicas, self.cfg.num_servers);
-            Arc::new(Placement::new(
-                self.cfg.num_servers * spread,
-                self.cfg.num_servers,
-                self.cfg.replicas,
-                self.cfg.placement_seed,
-            ))
-        });
+        *self.placement.lock().unwrap() = initial_placement(&self.cfg);
         self.apply_planned_corruption();
     }
 

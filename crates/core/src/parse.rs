@@ -20,6 +20,11 @@ use crate::ast::PdcQuery;
 use pdc_odms::Odms;
 use pdc_types::{ObjectId, PdcError, PdcResult, PdcType, PdcValue, QueryOp};
 
+/// Deepest parenthesis nesting the parser accepts. The parser recurses
+/// once per level, so without a bound a hostile expression overflows the
+/// stack; real queries nest a few levels at most.
+const MAX_NESTING: usize = 128;
+
 #[derive(Debug, Clone, PartialEq)]
 enum Token {
     Ident(String),
@@ -124,6 +129,8 @@ fn tokenize(input: &str) -> PdcResult<Vec<Token>> {
 struct Parser<'a> {
     tokens: Vec<Token>,
     pos: usize,
+    /// Parentheses open at the current position.
+    depth: usize,
     odms: &'a Odms,
 }
 
@@ -183,7 +190,13 @@ impl<'a> Parser<'a> {
     fn term(&mut self) -> PdcResult<PdcQuery> {
         match self.next() {
             Some(Token::LParen) => {
+                if self.depth == MAX_NESTING {
+                    let what = format!("parentheses nested deeper than {MAX_NESTING}");
+                    return Err(self.err(&what));
+                }
+                self.depth += 1;
                 let inner = self.expr()?;
+                self.depth -= 1;
                 match self.next() {
                     Some(Token::RParen) => Ok(inner),
                     _ => Err(self.err("expected ')'")),
@@ -234,7 +247,7 @@ pub fn parse_query(input: &str, odms: &Odms) -> PdcResult<PdcQuery> {
     if tokens.is_empty() {
         return Err(PdcError::InvalidQuery("empty query".into()));
     }
-    let mut p = Parser { tokens, pos: 0, odms };
+    let mut p = Parser { tokens, pos: 0, depth: 0, odms };
     let q = p.expr()?;
     if p.pos != p.tokens.len() {
         return Err(p.err("trailing input"));
@@ -354,5 +367,47 @@ mod tests {
             .object;
         let q = parse_query("ids = 7", &odms).unwrap();
         assert_eq!(q, PdcQuery::create(i, QueryOp::Eq, 7i32));
+    }
+
+    fn nested(depth: usize, inner: &str) -> String {
+        format!("{}{inner}{}", "(".repeat(depth), ")".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_beyond_the_limit_is_a_typed_error() {
+        let (odms, e, _) = world();
+        let q = parse_query(&nested(MAX_NESTING, "Energy > 1"), &odms).unwrap();
+        assert_eq!(q, PdcQuery::create(e, QueryOp::Gt, 1.0f32));
+        for depth in [MAX_NESTING + 1, 10_000] {
+            match parse_query(&nested(depth, "Energy > 1"), &odms) {
+                Err(PdcError::InvalidQuery(msg)) => assert!(msg.contains("nested"), "{msg}"),
+                other => panic!("depth {depth}: {other:?}"),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Random token soup, optionally wrapped in deep nesting, parses
+        /// or fails with a typed error; it never panics or overflows.
+        #[test]
+        fn hostile_input_parses_or_errors(
+            words in proptest::collection::vec(
+                proptest::sample::select(vec![
+                    "(", ")", "Energy", "x", "nosuch", "<", "<=", ">", ">=", "=", "==",
+                    "AND", "or", "&&", "||", "&", "2.0", "-1e3", "1e999", "-", ".", "e5",
+                    "#", "\u{e9}",
+                ]),
+                0..16,
+            ),
+            depth in 0usize..400,
+        ) {
+            let (odms, _, _) = world();
+            let text = nested(depth, &words.join(" "));
+            match parse_query(&text, &odms) {
+                Ok(_) => proptest::prop_assert!(depth <= MAX_NESTING),
+                Err(PdcError::InvalidQuery(_)) | Err(PdcError::NotFound(_)) => {}
+                Err(other) => panic!("{text}: unexpected error {other:?}"),
+            }
+        }
     }
 }

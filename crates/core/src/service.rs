@@ -146,17 +146,12 @@ pub struct ServiceConfig {
     /// DRR quantum: estimated cost credited to a tenant per rotation
     /// visit, scaled by its weight.
     pub quantum: SimDuration,
-    /// Fold dispatched queries into an open shared-scan group
-    /// (continuous batching). Pure host work — results and per-query
-    /// charges are identical either way.
-    pub continuous_batching: bool,
 }
 
 impl ServiceConfig {
-    /// A config over `tenants` with a 5 ms quantum and continuous
-    /// batching enabled.
+    /// A config over `tenants` with a 5 ms quantum.
     pub fn new(tenants: Vec<TenantSpec>) -> Self {
-        Self { tenants, quantum: SimDuration::from_millis(5), continuous_batching: true }
+        Self { tenants, quantum: SimDuration::from_millis(5) }
     }
 
     /// Build the config from the tenants registered on an [`Odms`]
@@ -490,7 +485,8 @@ impl TenantState {
 /// dispatch next, having already debited its deficit. A full rotation
 /// that dispatches nothing fast-forwards every backlogged tenant by the
 /// same whole number of quanta (O(1) convergence, identical fairness to
-/// stepping one quantum at a time).
+/// stepping one quantum at a time). Credit saturates: a quantum or weight
+/// large enough to overflow simply makes every head affordable.
 fn drr_pick(ts: &mut [TenantState], ptr: &mut usize, quantum: SimDuration) -> Option<usize> {
     let n = ts.len();
     if ts.iter().all(|t| t.ready.is_empty()) {
@@ -527,7 +523,7 @@ fn drr_pick(ts: &mut [TenantState], ptr: &mut usize, quantum: SimDuration) -> Op
                 *ptr = (i + 1) % n;
                 continue;
             }
-            t.deficit += quantum * t.spec.weight as u64;
+            t.deficit = t.deficit.saturating_add(quantum.saturating_mul(t.spec.weight as u64));
             let head_est = t.ready.front().expect("non-empty").est;
             if t.deficit >= head_est {
                 t.deficit = t.deficit.saturating_sub(head_est);
@@ -542,7 +538,7 @@ fn drr_pick(ts: &mut [TenantState], ptr: &mut usize, quantum: SimDuration) -> Op
         let mut k_min = u64::MAX;
         for t in ts.iter() {
             let Some(head) = t.ready.front() else { continue };
-            let qw = (quantum * t.spec.weight as u64).as_nanos();
+            let qw = quantum.saturating_mul(t.spec.weight as u64).as_nanos();
             let need = head.est.saturating_sub(t.deficit).as_nanos();
             if qw > 0 {
                 k_min = k_min.min(need.div_ceil(qw));
@@ -553,7 +549,8 @@ fn drr_pick(ts: &mut [TenantState], ptr: &mut usize, quantum: SimDuration) -> Op
         }
         for t in ts.iter_mut() {
             if !t.ready.is_empty() {
-                t.deficit += (quantum * t.spec.weight as u64) * k_min;
+                let credit = quantum.saturating_mul(t.spec.weight as u64).saturating_mul(k_min);
+                t.deficit = t.deficit.saturating_add(credit);
             }
         }
     }
@@ -604,8 +601,7 @@ impl QueryEngine {
         // for the same reason run_batch skips prewarm: each query's
         // verify-and-repair preflight must observe the damaged state
         // exactly as a sequential run would.
-        let mut group =
-            (cfg.continuous_batching && !self.corruption_active()).then(|| self.open_scan_group());
+        let mut group = (!self.corruption_active()).then(|| self.open_scan_group());
 
         let mut trace: Vec<TraceEvent> = Vec::new();
         let mut served: Vec<ServedQuery> = Vec::new();
@@ -934,6 +930,31 @@ mod tests {
         assert_eq!(got.iter().filter(|&&i| i == 0).count(), 1);
         assert_eq!(got.iter().filter(|&&i| i == 1).count(), 2);
         assert!(ts.iter().all(|t| t.ready.is_empty()));
+    }
+
+    #[test]
+    fn drr_credit_saturates_instead_of_overflowing() {
+        // Weight 20 times a 1e12 ms quantum exceeds u64 nanoseconds: the
+        // credit saturates and both queued heads dispatch in order.
+        let spec = TenantSpec::new("heavy", 20, SimDuration::from_millis(1000), 8);
+        let mut ts = vec![TenantState::new(spec)];
+        for seq in 0..2u64 {
+            ts[0].ready.push_back(Queued {
+                seq,
+                arrival_index: seq as usize,
+                arrival: SimDuration::ZERO,
+                admitted_at: SimDuration::ZERO,
+                deferred: false,
+                est: us(10),
+            });
+        }
+        let quantum = SimDuration::from_secs_f64(1e12 / 1e3);
+        let mut ptr = 0usize;
+        for seq in 0..2u64 {
+            assert_eq!(drr_pick(&mut ts, &mut ptr, quantum), Some(0));
+            assert_eq!(ts[0].ready.pop_front().map(|q| q.seq), Some(seq));
+        }
+        assert_eq!(drr_pick(&mut ts, &mut ptr, quantum), None);
     }
 
     #[test]

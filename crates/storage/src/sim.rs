@@ -66,6 +66,16 @@ impl SimDuration {
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
+
+    /// Saturating addition.
+    pub fn saturating_add(self, other: SimDuration) -> SimDuration {
+        SimDuration(self.0.saturating_add(other.0))
+    }
+
+    /// Saturating multiplication by a count.
+    pub fn saturating_mul(self, n: u64) -> SimDuration {
+        SimDuration(self.0.saturating_mul(n))
+    }
 }
 
 impl Add for SimDuration {
